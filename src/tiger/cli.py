@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from . import generator, minidsl, rewards
@@ -113,13 +114,23 @@ def cmd_score(args) -> int:
         except (OSError, ValueError, TypeError) as exc:
             return _fail(f"bad reward config: {exc}")
     by_id = {}
-    for _, record in dataset:
+    for number, record in dataset:
+        if not (
+            isinstance(record, dict)
+            and "id" in record
+            and isinstance(record["id"], Hashable)
+        ):
+            return _fail(f'{args.dataset}:{number}: expected an object with an "id"')
+        if record["id"] in by_id:
+            return _fail(f"{args.dataset}:{number}: duplicate id {record['id']!r}")
         by_id[record["id"]] = record
     report = RunReport()
     unmatched = []
     for number, cand in candidates:
+        if not isinstance(cand, dict):
+            return _fail(f"{args.candidates}:{number}: expected a JSON object")
         sample_id = cand.get("id")
-        record = by_id.get(sample_id)
+        record = by_id.get(sample_id) if isinstance(sample_id, Hashable) else None
         if record is None:
             unmatched.append(sample_id)
             continue
@@ -127,7 +138,7 @@ def cmd_score(args) -> int:
             pred = parse_trajectory(cand["trajectory"])
             gt = parse_trajectory(record["trajectory"])
             scene = Scene.from_dict(record["scene"])
-        except (TrajectoryError, SceneError, KeyError) as exc:
+        except (TrajectoryError, SceneError, KeyError, TypeError) as exc:
             return _fail(f"{args.candidates}:{number}: {exc}")
         breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg)
         row = {"id": sample_id, **breakdown.to_dict()}

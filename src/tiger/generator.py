@@ -264,18 +264,6 @@ def _fov_lateral_cap(intr: CameraIntrinsics, z: float) -> float:
     return 0.8 * min(half_u, half_v)
 
 
-def _separated(a: OrientedBox3, b: OrientedBox3, margin: float) -> bool:
-    # circumsphere bound first; exact distance only when inconclusive
-    gap_bound = float(
-        np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
-    ) - (
-        float(np.linalg.norm(a.half_extents)) + float(np.linalg.norm(b.half_extents))
-    )
-    if gap_bound > margin:
-        return True
-    return obb_distance(a, b) > margin
-
-
 def generate_scene(params: SceneParams, seed: int) -> Scene:
     """Sample a non-overlapping, fully visible scene; deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -314,7 +302,8 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
                     float(rng.uniform(-math.pi, math.pi)),
                 )
                 if all(
-                    _separated(box, other, params.placement_margin) for other in boxes
+                    obb_distance(box, other) > params.placement_margin
+                    for other in boxes
                 ):
                     boxes.append(box)
                     placed = True

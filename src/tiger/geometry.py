@@ -376,143 +376,56 @@ def iou_2d(a: Box2, b: Box2) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _sub3(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _lerp3(a, b, t):
-    return (
-        a[0] + t * (b[0] - a[0]),
-        a[1] + t * (b[1] - a[1]),
-        a[2] + t * (b[2] - a[2]),
-    )
-
-
-def _closest_on_segment(a, b):
-    ab = _sub3(b, a)
-    denom = _dot3(ab, ab)
-    if denom == 0.0:
-        return a, [a]
-    t = -_dot3(a, ab) / denom
-    if t <= 0.0:
-        return a, [a]
-    if t >= 1.0:
-        return b, [b]
-    return _lerp3(a, b, t), [a, b]
-
-
-def _closest_on_triangle(a, b, c):
-    # Ericson's closest-point-on-triangle with the origin as the query point.
-    ab = _sub3(b, a)
-    ac = _sub3(c, a)
-    n = _cross3(ab, ac)
-    if _dot3(n, n) < 1e-30:
-        best = None
-        for p, q in ((a, b), (a, c), (b, c)):
-            v, kept = _closest_on_segment(p, q)
-            if best is None or _dot3(v, v) < _dot3(best[0], best[0]):
-                best = (v, kept)
-        return best
-    d1 = -_dot3(ab, a)
-    d2 = -_dot3(ac, a)
-    if d1 <= 0 and d2 <= 0:
-        return a, [a]
-    d3 = -_dot3(ab, b)
-    d4 = -_dot3(ac, b)
-    if d3 >= 0 and d4 <= d3:
-        return b, [b]
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        t = d1 / (d1 - d3)
-        return _lerp3(a, b, t), [a, b]
-    d5 = -_dot3(ab, c)
-    d6 = -_dot3(ac, c)
-    if d6 >= 0 and d5 <= d6:
-        return c, [c]
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        t = d2 / (d2 - d6)
-        return _lerp3(a, c, t), [a, c]
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return _lerp3(b, c, t), [b, c]
-    denom = va + vb + vc
-    v = vb / denom
-    w = vc / denom
-    return (
-        a[0] + ab[0] * v + ac[0] * w,
-        a[1] + ab[1] * v + ac[1] * w,
-        a[2] + ab[2] * v + ac[2] * w,
-    ), [a, b, c]
-
-
-def _closest_on_simplex(simplex):
-    n = len(simplex)
-    if n == 1:
-        return simplex[0], [simplex[0]]
-    if n == 2:
-        return _closest_on_segment(simplex[0], simplex[1])
-    if n == 3:
-        return _closest_on_triangle(simplex[0], simplex[1], simplex[2])
-    a, b, c, d = simplex
-    best = None
-    inside = True
-    for p, q, r, s in ((a, b, c, d), (a, c, d, b), (a, b, d, c), (b, c, d, a)):
-        n_face = _cross3(_sub3(q, p), _sub3(r, p))
-        dp = -_dot3(n_face, p)
-        ds = _dot3(n_face, _sub3(s, p))
-        if abs(ds) < 1e-18 or dp * ds < 0:
-            inside = False
-            v, kept = _closest_on_triangle(p, q, r)
-            if best is None or _dot3(v, v) < _dot3(best[0], best[0]):
-                best = (v, kept)
-    if inside:
-        return (0.0, 0.0, 0.0), [a, b, c, d]
+def _footprint_distance(a: OrientedBox3, b: OrientedBox3) -> float:
+    """Distance between the ground-plane rectangles of two boxes (0 if they overlap)."""
+    hax, hay = a.half_extents[0], a.half_extents[1]
+    hbx, hby = b.half_extents[0], b.half_extents[1]
+    ca, sa = math.cos(a.yaw), math.sin(a.yaw)
+    cb, sb = math.cos(b.yaw), math.sin(b.yaw)
+    c = ca * cb + sa * sb  # cos and sin of b's yaw relative to a's
+    s = ca * sb - sa * cb
+    ac, as_ = abs(c), abs(s)
+    dx = b.center[0] - a.center[0]
+    dy = b.center[1] - a.center[1]
+    # b's center in a's frame (t) and a's center in b's frame (u)
+    tx, ty = dx * ca + dy * sa, dy * ca - dx * sa
+    ux, uy = -dx * cb - dy * sb, dx * sb - dy * cb
+    # Separating-axis test on the four edge normals; no separation = overlap.
+    if (
+        abs(tx) <= hax + hbx * ac + hby * as_
+        and abs(ty) <= hay + hbx * as_ + hby * ac
+        and abs(ux) <= hbx + hax * ac + hay * as_
+        and abs(uy) <= hby + hax * as_ + hay * ac
+    ):
+        return 0.0
+    # Disjoint convex polygons: the nearest pair always includes a vertex.
+    best = math.inf
+    for sx, sy in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
+        bx, by = sx * hbx, sy * hby
+        px = tx + c * bx - s * by
+        py = ty + s * bx + c * by
+        best = min(best, math.hypot(max(abs(px) - hax, 0.0), max(abs(py) - hay, 0.0)))
+        ax, ay = sx * hax, sy * hay
+        qx = ux + c * ax + s * ay
+        qy = uy - s * ax + c * ay
+        best = min(best, math.hypot(max(abs(qx) - hbx, 0.0), max(abs(qy) - hby, 0.0)))
     return best
 
 
-def _distance_to_hull(points: np.ndarray) -> float:
-    """Distance from the origin to the convex hull of a finite point set (GJK)."""
-    start = int(np.argmin(np.einsum("ij,ij->i", points, points)))
-    simplex = [tuple(points[start])]
-    for _ in range(200):
-        v, simplex = _closest_on_simplex(simplex)
-        nv2 = _dot3(v, v)
-        if nv2 <= 1e-24:
-            return 0.0
-        s = tuple(points[int(np.argmin(points @ v))])
-        nv = math.sqrt(nv2)
-        # Supporting-plane bound: true distance >= (s . v)/|v|.
-        if nv - _dot3(s, v) / nv <= 1e-12 * max(1.0, nv):
-            return nv
-        if s in simplex:
-            return nv
-        simplex.append(s)
-    return math.sqrt(_dot3(v, v))
-
-
 def obb_distance(a: OrientedBox3, b: OrientedBox3) -> float:
-    """Minimum Euclidean distance between two solid oriented boxes (0 if they intersect)."""
+    """Minimum Euclidean distance between two solid oriented boxes (0 if they intersect).
+
+    Exact for gravity-aligned boxes, which rotate only by yaw about +Z: each
+    is a ground-plane rectangle times a height interval, so the distance is
+    the hypotenuse of the footprint distance and the vertical gap.
+    """
     # Canonical argument order makes the result exactly symmetric.
     ka = (a.center, a.half_extents, a.yaw)
     kb = (b.center, b.half_extents, b.yaw)
     if kb < ka:
         a, b = b, a
-    diffs = (a.corners()[:, None, :] - b.corners()[None, :, :]).reshape(-1, 3)
-    return _distance_to_hull(diffs)
+    z_gap = max(a.zmin - b.zmax, b.zmin - a.zmax, 0.0)
+    return math.hypot(_footprint_distance(a, b), z_gap)
 
 
 def point_obb_distance(p, box: OrientedBox3) -> float:

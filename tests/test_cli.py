@@ -103,6 +103,51 @@ class TestScore:
         assert code == 1
         assert ":1:" in capsys.readouterr().err
 
+    def test_dataset_record_without_id_names_line(self, tmp_path, dataset, capsys):
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["id"]
+        broken = tmp_path / "no_id.jsonl"
+        broken.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"id": 0, "trajectory": "x"}) + "\n")
+        code = main(["score", "--dataset", str(broken), "--candidates", str(cands)])
+        assert code == 1
+        assert f"error: {broken}:2:" in capsys.readouterr().err
+
+    def test_duplicate_dataset_id_names_line(self, tmp_path, dataset, capsys):
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["id"] = json.loads(lines[0])["id"]
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("")
+        code = main(["score", "--dataset", str(dup), "--candidates", str(cands)])
+        assert code == 1
+        assert f"error: {dup}:2: duplicate id" in capsys.readouterr().err
+
+    def test_non_string_trajectory_names_line(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"id": record["id"], "trajectory": 42}) + "\n")
+        code = main(["score", "--dataset", str(dataset), "--candidates", str(cands)])
+        assert code == 1
+        assert f"error: {cands}:1:" in capsys.readouterr().err
+
+    def test_non_object_candidate_names_line(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(
+            json.dumps({"id": record["id"], "trajectory": record["trajectory"]})
+            + "\n"
+            + json.dumps([record["id"], record["trajectory"]])
+            + "\n"
+        )
+        code = main(["score", "--dataset", str(dataset), "--candidates", str(cands)])
+        assert code == 1
+        assert f"error: {cands}:2:" in capsys.readouterr().err
+
     def test_unmatched_ids_reported(self, tmp_path, dataset, capsys):
         record = json.loads(dataset.read_text().splitlines()[0])
         cands = tmp_path / "cands.jsonl"

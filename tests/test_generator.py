@@ -303,6 +303,15 @@ class TestDataset:
 
         assert regenerate_from_manifest(manifest) == content
 
+    def test_golden_digest(self, tmp_path):
+        # Pins the bytes across versions, not just run against run.  A
+        # deliberate numeric change updates this value and says why in
+        # CHANGES.md.
+        manifest = generate_dataset(SceneParams(), DEFAULT_MIX, 64, 7, tmp_path / "g.jsonl")
+        assert manifest["digest"] == (
+            "sha256:f483d566ee61e227909db60cd49cf3b37ce71ab45ed57a037fa530d728c92248"
+        )
+
     def test_records_have_ids_in_order(self, tmp_path):
         lines, _ = generate_records(PARAMS, {"object_depth": 1.0}, 5, 31)
         ids = [json.loads(line)["id"] for line in lines]

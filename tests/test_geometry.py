@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiger.geometry import (
     BehindCamera,
@@ -246,6 +248,48 @@ class TestObbDistance:
         b = OrientedBox3((3.0, 0.0, 0.0), (0.5, 0.5, 0.5), 0.0)
         expected = 3.0 - 0.5 - math.sqrt(2.0) / 2.0
         assert obb_distance(a, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_plus_crossing_is_zero(self):
+        # No corner of either box lies inside the other, yet the solids overlap.
+        a = OrientedBox3((0, 0, 0), (2.0, 0.1, 0.5), 0.0)
+        b = OrientedBox3((0.3, -0.2, 0.4), (2.0, 0.1, 0.5), math.pi / 2)
+        assert not a.contains(b.corners()) and not b.contains(a.corners())
+        assert obb_distance(a, b) == 0.0
+
+    def test_stacked_boxes_return_z_gap(self):
+        a = OrientedBox3((0.0, 0.0, 0.5), (0.5, 0.4, 0.5), 0.3)
+        b = OrientedBox3((0.1, -0.05, 1.75), (0.3, 0.3, 0.25), -0.7)
+        assert obb_distance(a, b) == 0.5
+        crossing = OrientedBox3((0.0, 0.0, 1.75), (2.0, 0.1, 0.25), math.pi / 2)
+        assert obb_distance(a, crossing) == 0.5
+
+    def test_parallel_facing_edges_at_offset(self):
+        # Facing faces 0.5 apart, footprints sliding past each other sideways.
+        a = OrientedBox3((0, 0, 0), (0.5, 0.5, 0.5), 0.0)
+        b = OrientedBox3((1.5, 0.7, 0.0), (0.5, 0.5, 0.5), 0.0)
+        assert obb_distance(a, b) == pytest.approx(0.5, abs=1e-12)
+        yaw = 0.6
+        c, s = math.cos(yaw), math.sin(yaw)
+        a = OrientedBox3((0, 0, 0), (0.5, 0.5, 0.5), yaw)
+        b = OrientedBox3((1.5 * c - 0.7 * s, 1.5 * s + 0.7 * c, 1.3), (0.5, 0.5, 0.5), yaw)
+        assert obb_distance(a, b) == pytest.approx(math.hypot(0.5, 0.3), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=6, max_size=6),
+        st.lists(st.floats(0.05, 0.8, allow_nan=False), min_size=6, max_size=6),
+        st.floats(-math.pi, math.pi, allow_nan=False),
+        st.floats(-math.pi, math.pi, allow_nan=False),
+    )
+    def test_random_yaw_boxes_property(self, centers, halves, yaw_a, yaw_b):
+        a = OrientedBox3(tuple(centers[:3]), tuple(halves[:3]), yaw_a)
+        b = OrientedBox3(tuple(centers[3:]), tuple(halves[3:]), yaw_b)
+        analytic = obb_distance(a, b)
+        assert analytic == obb_distance(b, a)
+        sampled = sampled_box_distance(a, b)
+        res = max(sampling_resolution(a), sampling_resolution(b))
+        assert analytic <= sampled + 1e-9
+        assert sampled - analytic <= 2.0 * res
 
 
 class TestIou:
