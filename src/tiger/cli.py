@@ -15,7 +15,7 @@ import time
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
-from . import generator, minidsl, rewards
+from . import generator, minidsl
 from .generator import GenerationError, PlacementFailure, SceneParams, generate_dataset
 from .rewards import RewardConfig, evaluate_delta2, check_interval, score_trajectory
 from .runtime import ExecutionContext, TrajectoryRunError, run_trajectory
@@ -64,6 +64,26 @@ def _read_jsonl(path):
     return records
 
 
+def _index_by_id(path, records) -> dict:
+    """Map each record's "id" to (line number, record).
+
+    Raises ValueError naming the line of a record that is not an object with
+    a hashable "id", or whose id repeats an earlier one.
+    """
+    by_id = {}
+    for number, record in records:
+        if not (
+            isinstance(record, dict)
+            and "id" in record
+            and isinstance(record["id"], Hashable)
+        ):
+            raise ValueError(f'{path}:{number}: expected an object with an "id"')
+        if record["id"] in by_id:
+            raise ValueError(f"{path}:{number}: duplicate id {record['id']!r}")
+        by_id[record["id"]] = (number, record)
+    return by_id
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -75,9 +95,13 @@ def cmd_generate(args) -> int:
             config = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}")
+    if not isinstance(config, dict):
+        return _fail("bad config: expected a JSON object")
     try:
         params = SceneParams.from_dict(config.get("scene", {}))
         mix = config.get("mix", generator.DEFAULT_MIX)
+        if not isinstance(mix, dict):
+            raise ValueError("mix must be an object mapping families to ratios")
         count = int(config.get("count", 10))
         seed = int(config.get("seed", 0))
         if args.seed is not None:
@@ -113,33 +137,36 @@ def cmd_score(args) -> int:
             cfg = RewardConfig.from_file(args.reward_config)
         except (OSError, ValueError, TypeError) as exc:
             return _fail(f"bad reward config: {exc}")
-    by_id = {}
-    for number, record in dataset:
-        if not (
-            isinstance(record, dict)
-            and "id" in record
-            and isinstance(record["id"], Hashable)
-        ):
-            return _fail(f'{args.dataset}:{number}: expected an object with an "id"')
-        if record["id"] in by_id:
-            return _fail(f"{args.dataset}:{number}: duplicate id {record['id']!r}")
-        by_id[record["id"]] = record
+    try:
+        by_id = _index_by_id(args.dataset, dataset)
+    except ValueError as exc:
+        return _fail(str(exc))
+    # ground truth and scene, parsed once per id on its first candidate
+    parsed = {}
     report = RunReport()
     unmatched = []
     for number, cand in candidates:
         if not isinstance(cand, dict):
             return _fail(f"{args.candidates}:{number}: expected a JSON object")
         sample_id = cand.get("id")
-        record = by_id.get(sample_id) if isinstance(sample_id, Hashable) else None
-        if record is None:
+        entry = by_id.get(sample_id) if isinstance(sample_id, Hashable) else None
+        if entry is None:
             unmatched.append(sample_id)
             continue
         try:
             pred = parse_trajectory(cand["trajectory"])
-            gt = parse_trajectory(record["trajectory"])
-            scene = Scene.from_dict(record["scene"])
-        except (TrajectoryError, SceneError, KeyError, TypeError) as exc:
+        except (TrajectoryError, KeyError, TypeError) as exc:
             return _fail(f"{args.candidates}:{number}: {exc}")
+        if sample_id not in parsed:
+            line, record = entry
+            try:
+                parsed[sample_id] = (
+                    parse_trajectory(record["trajectory"]),
+                    Scene.from_dict(record["scene"]),
+                )
+            except (TrajectoryError, SceneError, KeyError, TypeError) as exc:
+                return _fail(f"{args.dataset}:{line}: {exc}")
+        gt, scene = parsed[sample_id]
         breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg)
         row = {"id": sample_id, **breakdown.to_dict()}
         report.rows.append(row)
@@ -226,15 +253,22 @@ def cmd_eval(args) -> int:
         references = _read_jsonl(args.references)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    refs = {r["id"]: r for _, r in references}
+    try:
+        refs = _index_by_id(args.references, references)
+    except ValueError as exc:
+        return _fail(str(exc))
     verdicts = []
     for number, pred in predictions:
-        ref = refs.get(pred.get("id"))
-        if ref is None:
-            return _fail(f"{args.predictions}:{number}: no reference with id {pred.get('id')!r}")
+        if not isinstance(pred, dict):
+            return _fail(f"{args.predictions}:{number}: expected a JSON object")
+        pred_id = pred.get("id")
+        entry = refs.get(pred_id) if isinstance(pred_id, Hashable) else None
+        if entry is None:
+            return _fail(f"{args.predictions}:{number}: no reference with id {pred_id!r}")
+        _, ref = entry
         try:
             ok = _eval_record(args.metric, pred, ref)
-        except (ValueError, KeyError, rewards.NonPositiveGroundTruth) as exc:
+        except (ValueError, TypeError, OverflowError, KeyError) as exc:
             return _fail(f"{args.predictions}:{number}: {exc}")
         verdicts.append({"id": pred["id"], "correct": ok})
     for verdict in verdicts:

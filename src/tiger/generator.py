@@ -154,6 +154,8 @@ class SceneParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneParams":
+        if not isinstance(doc, dict):
+            raise ValueError("scene parameters must be an object")
         kwargs = {}
         for key, value in doc.items():
             if key not in cls.__dataclass_fields__:

@@ -141,9 +141,10 @@ class Scene:
                 )
                 for o in doc["objects"]
             ]
-        except (KeyError, TypeError) as exc:
+            floor_z = float(doc.get("floor_z", 0.0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"malformed scene document: {exc}") from exc
-        return cls(intr, views, objects, floor_z=float(doc.get("floor_z", 0.0)))
+        return cls(intr, views, objects, floor_z=floor_z)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

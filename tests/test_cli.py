@@ -50,6 +50,18 @@ class TestGenerate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [[CONFIG], dict(CONFIG, scene=[]), dict(CONFIG, mix=[])],
+        ids=["array", "scene_array", "mix_array"],
+    )
+    def test_config_of_wrong_shape_exits_one(self, tmp_path, capsys, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad config: ")
+
     def test_infeasible_mix_exits_one(self, tmp_path, capsys):
         config = {
             "count": 2,
@@ -147,6 +159,63 @@ class TestScore:
         code = main(["score", "--dataset", str(dataset), "--candidates", str(cands)])
         assert code == 1
         assert f"error: {cands}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pose", "abc"),
+            ("pose", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            ("fx", "x"),
+            ("half_extents", [-0.1, 0.1, 0.1]),
+            ("center", [0.0, 0.0]),
+            ("scene", []),
+            ("trajectory", 42),
+        ],
+    )
+    def test_malformed_dataset_record_names_dataset_line(
+        self, tmp_path, dataset, capsys, field, value
+    ):
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        cand = {"id": record["id"], "trajectory": record["trajectory"]}
+        if field == "pose":
+            record["scene"]["views"][0]["pose"] = value
+        elif field == "fx":
+            record["scene"]["intrinsics"]["fx"] = value
+        elif field in ("half_extents", "center"):
+            record["scene"]["objects"][0][field] = value
+        else:
+            record[field] = value
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps(cand) + "\n")
+        code = main(["score", "--dataset", str(broken), "--candidates", str(cands)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {broken}:2: ")
+
+    def test_dataset_record_parsed_once_per_id(self, tmp_path, dataset, monkeypatch):
+        import tiger.cli
+
+        calls = []
+        from_dict = tiger.cli.Scene.from_dict
+        monkeypatch.setattr(
+            tiger.cli.Scene, "from_dict", lambda doc: calls.append(1) or from_dict(doc)
+        )
+        records = [json.loads(line) for line in dataset.read_text().splitlines()[:2]]
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(
+            "".join(
+                json.dumps({"id": r["id"], "trajectory": r["trajectory"]}) + "\n"
+                for r in records * 4
+            )
+        )
+        report = tmp_path / "report.jsonl"
+        args = ["score", "--dataset", str(dataset), "--candidates", str(cands)]
+        assert main(args + ["--out", str(report)]) == 0
+        assert len(calls) == 2
+        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        assert len(rows) == 8 and all(row["composite"] == 1.0 for row in rows)
 
     def test_unmatched_ids_reported(self, tmp_path, dataset, capsys):
         record = json.loads(dataset.read_text().splitlines()[0])
@@ -269,6 +338,30 @@ class TestEval:
         )
         assert code == 0
         assert "accuracy: 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_file, row",
+        [
+            ("references", {"value": 1.0}),
+            ("references", {"id": [0], "value": 1.0}),
+            ("predictions", [0, 1.0]),
+            ("predictions", {"id": 0, "value": None}),
+        ],
+        ids=["ref_without_id", "ref_list_id", "pred_array", "pred_null_value"],
+    )
+    def test_malformed_line_names_it(self, tmp_path, capsys, bad_file, row):
+        paths = {"predictions": tmp_path / "p.jsonl", "references": tmp_path / "r.jsonl"}
+        good = {"id": 0, "value": 1.0}
+        self._write(paths["predictions"], [good])
+        self._write(paths["references"], [good])
+        self._write(paths[bad_file], [good, row] if bad_file == "references" else [row])
+        line = 2 if bad_file == "references" else 1
+        code = main(
+            ["eval", "--predictions", str(paths["predictions"]),
+             "--references", str(paths["references"])]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {paths[bad_file]}:{line}: ")
 
     def test_misaligned_ids_exit_one(self, tmp_path):
         preds = tmp_path / "p.jsonl"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from tiger.generator import SceneParams, generate_scene
 from tiger.geometry import (
     BehindCamera,
     Box2,
@@ -21,7 +24,9 @@ from tiger.runtime import (
     SchemaError,
     TrajectoryRunError,
     UnknownTool,
+    _rle_encode,
     cast_ray,
+    cast_rays,
     check_call,
     execute_tool,
     run_trajectory,
@@ -210,6 +215,142 @@ class TestDepthSensor:
             else:
                 assert depth_map.values[j, i] == hit.depth
         assert depth_map.valid_mask().any()
+
+
+def reference_cast_rays(scene, view, u, v):
+    """Every ray against every object, reducing the slabs over the last axis."""
+    pose = scene.pose(view)
+    k = scene.intrinsics
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    d_cam = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=-1)
+    origin = pose.center()
+    dirs = d_cam @ pose.rotation
+    best = np.full(u.shape, np.inf)
+    owner = np.full(u.shape, -1, dtype=int)
+    for idx, obj in enumerate(scene.objects):
+        rot = obj.box3.rotation()
+        o_local = (origin - np.asarray(obj.box3.center)) @ rot
+        h = np.asarray(obj.box3.half_extents)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / (dirs @ rot)
+            t1 = (-h - o_local) * inv
+            t2 = (h - o_local) * inv
+        t1 = np.where(np.isnan(t1), -np.inf, t1)
+        t2 = np.where(np.isnan(t2), np.inf, t2)
+        low = np.minimum(t1, t2).max(axis=-1)
+        high = np.maximum(t1, t2).min(axis=-1)
+        t = np.where(low > 1e-9, low, high)
+        t = np.where((high >= low) & (high > 1e-9) & (t > 1e-9), t, np.inf)
+        owner = np.where(t < best, idx, owner)
+        best = np.minimum(t, best)
+    dz = dirs[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_floor = (scene.floor_z - origin[2]) / dz
+    t_floor = np.where((np.abs(dz) > 1e-9) & (t_floor > 1e-9), t_floor, np.inf)
+    owner = np.where(t_floor < best, -2, owner)
+    return np.minimum(t_floor, best), owner
+
+
+def assert_casts_equal(scene, view, u, v):
+    depths, owners = cast_rays(scene, view, u, v)
+    ref_depths, ref_owners = reference_cast_rays(scene, view, u, v)
+    assert depths.shape == ref_depths.shape and owners.dtype == ref_owners.dtype
+    assert np.array_equal(depths, ref_depths)
+    assert np.array_equal(owners, ref_owners)
+    return owners
+
+
+def full_frame(k):
+    ii, jj = np.meshgrid(np.arange(k.width), np.arange(k.height))
+    return ii + 0.5, jj + 0.5
+
+
+def scene_with(*boxes):
+    objects = [ObjectNode(i, f"o{i}", box) for i, box in enumerate(boxes)]
+    views = [Pose.identity(), look_at([3.0, 1.0, 1.5], [0.0, 0.0, 2.0])]
+    return Scene(K, views, objects, floor_z=-5.0)
+
+
+class TestCasterExactness:
+    """The culled caster returns exactly what testing every ray returns."""
+
+    NEAR = OrientedBox3((0.2, 0.1, 2.5), (0.4, 0.3, 0.5), 0.4)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_scenes_full_frame(self, seed):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), seed)
+        u, v = full_frame(scn.intrinsics)
+        for view in range(len(scn.views)):
+            owners = assert_casts_equal(scn, view, u, v)
+            assert (owners >= 0).any()
+
+    def test_off_image_rays(self):
+        rng = np.random.default_rng(5)
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 3)
+        for view in range(len(scn.views)):
+            u = rng.uniform(-200.0, 900.0, 5000)
+            v = rng.uniform(-200.0, 700.0, 5000)
+            assert_casts_equal(scn, view, u, v)
+
+    def test_object_entirely_off_screen(self):
+        far_right = OrientedBox3((6.0, 0.0, 3.0), (0.3, 0.3, 0.3), 0.2)
+        scn = scene_with(self.NEAR, far_right)
+        owners = assert_casts_equal(scn, 0, *full_frame(K))
+        assert not (owners == 1).any()
+        # the same box is hit by rays aimed past the image edge
+        u, v = np.meshgrid(np.linspace(-100.0, 1600.0, 200), np.linspace(-100.0, 600.0, 90))
+        assert (assert_casts_equal(scn, 0, u, v) == 1).any()
+
+    def test_box_straddling_the_camera_plane(self):
+        scn = scene_with(self.NEAR, OrientedBox3((0.8, 0.0, 0.2), (0.5, 0.1, 0.5), 0.3))
+        assert (assert_casts_equal(scn, 0, *full_frame(K)) == 1).any()
+        assert_casts_equal(scn, 1, *full_frame(K))
+
+    def test_box_behind_the_camera(self):
+        scn = scene_with(self.NEAR, OrientedBox3((0.0, 0.0, -3.0), (0.5, 0.5, 0.5), 0.0))
+        assert not (assert_casts_equal(scn, 0, *full_frame(K)) == 1).any()
+        assert_casts_equal(scn, 1, *full_frame(K))
+
+    def test_camera_inside_box(self):
+        room = OrientedBox3((0.0, 0.0, 0.5), (4.0, 4.0, 4.0), 0.1)
+        scn = scene_with(self.NEAR, room)
+        owners = assert_casts_equal(scn, 0, *full_frame(K))
+        assert set(np.unique(owners)) == {0, 1}
+
+    def test_input_shapes(self):
+        scn = scene_with(self.NEAR)
+        u, v = full_frame(K)
+        assert_casts_equal(scn, 0, u[::7, ::5], v[::7, ::5])
+        assert_casts_equal(scn, 0, u[240], v[240])
+        assert_casts_equal(scn, 0, [320.0], [240.0])
+        depths, owners = cast_rays(scn, 0, 320.0, 240.0)
+        assert depths.shape == owners.shape == (1,)
+
+
+def reference_rle(bits):
+    runs, current, count = [], False, 0
+    for bit in bits:
+        if bit == current:
+            count += 1
+        else:
+            runs.append(count)
+            current, count = bit, 1
+    runs.append(count)
+    return runs
+
+
+@given(st.lists(st.booleans(), max_size=300))
+@example([])
+@example([False] * 9)
+@example([True] * 9)
+@example([True, True, False, True])
+@example([True])
+@example([False])
+def test_rle_matches_reference(bits):
+    runs = _rle_encode(np.array(bits, dtype=bool))
+    assert runs == reference_rle(bits)
+    assert all(type(n) is int for n in runs)
 
 
 class TestSegmentationAndBoxes:
