@@ -8,6 +8,7 @@ failure, 3 tool error during replay.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -299,9 +300,14 @@ def cmd_dsl(args) -> int:
         try:
             with open(args.bindings, "r", encoding="utf-8") as f:
                 doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object of name -> value literal")
             from .runtime import _to_dsl
 
-            bindings = {name: _to_dsl(parse_value(text)) for name, text in doc.items()}
+            for name, text in doc.items():
+                if not isinstance(text, str):
+                    raise ValueError(f"binding {name!r} is not a value literal string")
+                bindings[name] = _to_dsl(parse_value(text))
         except (OSError, ValueError) as exc:
             return _fail(f"bad bindings: {exc}")
     try:
@@ -331,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("score", help="score candidate trajectories against a dataset")
     p.add_argument("--dataset", required=True)
@@ -339,33 +344,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reward-config", default=None)
     p.add_argument("--mode", choices=("oracle", "fitted"), default="oracle")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("run", help="replay a trajectory against a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--trajectory", required=True)
     p.add_argument("--mode", choices=("oracle", "fitted"), default="oracle")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="grade scalar predictions against references")
     p.add_argument("--predictions", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--metric", choices=("delta2", "exact", "interval"), default="delta2")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("dsl", help="evaluate a program for debugging")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--program")
     group.add_argument("--file")
     p.add_argument("--bindings", default=None, help="JSON map of name -> value literal")
-    p.set_defaults(func=cmd_dsl)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up by name at call time, so a replaced cmd_* function is the one run
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import geometry
 from .geometry import CameraIntrinsics, OrientedBox3, Pose, obb_distance, project
-from .runtime import ExecutionContext, TrajectoryRunError, cast_ray, execute_tool, run_trajectory
+from .runtime import ExecutionContext, TrajectoryRunError, cast_ray, execute_calls, run_trajectory
+from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
 from .scene import ObjectNode, Scene
 from .scenegraph import Relation, region_contains, spatial_relation
 from .trajectory import (
@@ -109,6 +110,32 @@ FAMILY_CONFIGS = {
 }
 
 
+def _is_sequence(value) -> bool:
+    return isinstance(value, (tuple, list))
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _check_range(name: str, value, ok, what: str) -> None:
+    if not (
+        _is_sequence(value)
+        and len(value) == 2
+        and all(ok(x) for x in value)
+        and value[0] <= value[1]
+    ):
+        raise ValueError(f"{name} must be a [lo, hi] pair of {what} with lo <= hi")
+
+
 @dataclass(frozen=True)
 class SceneParams:
     """Knobs for synthetic scene sampling."""
@@ -127,14 +154,50 @@ class SceneParams:
     intrinsics: tuple = (525.0, 525.0, 319.5, 239.5, 640, 480)
 
     def __post_init__(self):
-        if not (1 <= self.object_count[0] <= self.object_count[1]):
-            raise ValueError("object_count range is invalid")
-        if not (1 <= self.view_count[0] <= self.view_count[1]):
-            raise ValueError("view_count range is invalid")
+        """Reject every field of the wrong shape, naming it; coerce nothing."""
+        for name in ("object_count", "view_count"):
+            _check_range(name, getattr(self, name), _is_count, "positive integers")
+        for name in ("orbit_radius", "orbit_height", "hover_range"):
+            _check_range(name, getattr(self, name), _is_number, "numbers")
+        if not self.orbit_radius[0] > 0:
+            raise ValueError("orbit_radius must be positive")
+        if not (
+            _is_sequence(self.labels)
+            and all(isinstance(x, str) and x for x in self.labels)
+            and len(set(self.labels)) == len(self.labels)
+        ):
+            raise ValueError("labels must be a list of distinct non-empty strings")
         if self.object_count[1] > len(self.labels):
-            raise ValueError("not enough labels for the object count")
-        if any(x <= 0 for x in self.room_extent):
-            raise ValueError("room extents must be positive")
+            raise ValueError("labels: not enough labels for the object count")
+        if not (
+            _is_sequence(self.room_extent)
+            and len(self.room_extent) == 3
+            and all(_is_number(x) and x > 0 for x in self.room_extent)
+        ):
+            raise ValueError("room_extent must be 3 positive numbers")
+        for name in ("min_half_extent", "max_half_extent"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive number")
+        if self.min_half_extent > self.max_half_extent:
+            raise ValueError("min_half_extent must not exceed max_half_extent")
+        if not (_is_number(self.placement_margin) and self.placement_margin >= 0):
+            raise ValueError("placement_margin must be a non-negative number")
+        if not _is_count(self.max_attempts):
+            raise ValueError("max_attempts must be a positive integer")
+        k = self.intrinsics
+        if not (
+            _is_sequence(k)
+            and len(k) == 6
+            and all(_is_number(x) for x in k)
+            and k[0] > 0
+            and k[1] > 0
+            and all(x > 0 and x == int(x) for x in k[4:])
+        ):
+            raise ValueError(
+                "intrinsics must be [fx, fy, cx, cy, width, height] with positive "
+                "focal lengths and a positive integer width and height"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -266,6 +329,40 @@ def _fov_lateral_cap(intr: CameraIntrinsics, z: float) -> float:
     return 0.8 * min(half_u, half_v)
 
 
+def _placement_clear(center, half, yaw, boxes, margin: float) -> bool:
+    """all(obb_distance(OrientedBox3(center, half, yaw), o) > margin for o in boxes).
+
+    The candidate box is built only for a pair the shortcuts leave open.  Per
+    placed box, in order: a vertical gap above the margin clears the pair; so
+    does an xy center distance above both circumradii plus the margin, since
+    a footprint lies inside its circumcircle; a hypotenuse of that distance
+    less both inradii (a footprint contains its incircle) and the vertical
+    gap below the margin blocks the draw.  The 1e-9 slack keeps each shortcut
+    far outside rounding error, so the answer is the exact one.
+    """
+    cx, cy, cz = center
+    hx, hy, hz = half
+    outer = math.hypot(hx, hy)
+    inner = min(hx, hy)
+    box = None
+    for other in boxes:
+        ox, oy, oz = other.center
+        ohx, ohy, ohz = other.half_extents
+        z_gap = max(cz - hz - (oz + ohz), oz - ohz - (cz + hz), 0.0)
+        if z_gap > margin + 1e-9:
+            continue
+        d = math.hypot(cx - ox, cy - oy)
+        if d - outer - math.hypot(ohx, ohy) > margin + 1e-9:
+            continue
+        if math.hypot(max(d - inner - min(ohx, ohy), 0.0), z_gap) < margin - 1e-9:
+            return False
+        if box is None:
+            box = OrientedBox3(center, half, yaw)
+        if not obb_distance(box, other) > margin:
+            return False
+    return True
+
+
 def generate_scene(params: SceneParams, seed: int) -> Scene:
     """Sample a non-overlapping, fully visible scene; deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -282,8 +379,10 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
         for _ in range(n_objects):
             placed = False
             for _ in range(params.max_attempts):
-                half = rng.uniform(
-                    params.min_half_extent, params.max_half_extent, size=3
+                half = tuple(
+                    rng.uniform(
+                        params.min_half_extent, params.max_half_extent, size=3
+                    ).tolist()
                 )
                 zmin = rng.uniform(params.hover_range[0], params.hover_range[1])
                 cz = zmin + half[2]
@@ -298,16 +397,10 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
                 cy_w = rng.uniform(-cap, cap)
                 if cz + half[2] > params.hover_range[1] + params.room_extent[2]:
                     continue
-                box = OrientedBox3(
-                    (cx_w, cy_w, cz),
-                    tuple(half),
-                    float(rng.uniform(-math.pi, math.pi)),
-                )
-                if all(
-                    obb_distance(box, other) > params.placement_margin
-                    for other in boxes
-                ):
-                    boxes.append(box)
+                center = (cx_w, cy_w, cz)
+                yaw = rng.uniform(-math.pi, math.pi)
+                if _placement_clear(center, half, yaw, boxes, params.placement_margin):
+                    boxes.append(OrientedBox3(center, half, yaw))
                     placed = True
                     break
             if not placed:
@@ -478,12 +571,17 @@ def _visible_objects(scene: Scene, view: int):
     return [o for o in scene.objects if scene.project_box(o, view) is not None]
 
 
-def _run_plan(scene: Scene, calls):
-    ctx = ExecutionContext(scene, "oracle")
+def _run_plan(ctx: ExecutionContext, calls):
+    """Results of a plan's calls; the first failure is raised.
+
+    The plan binds its own r1..rN but shares ctx's scene, mode and tool
+    cache, so a lookup repeated across one record's plans runs once.
+    """
+    plan_ctx = ExecutionContext(ctx.scene, ctx.mode, cache=ctx.cache)
     results = []
-    for k, call in enumerate(calls):
-        value = execute_tool(ctx, call)
-        ctx.bindings[f"r{k + 1}"] = value
+    for value, error in execute_calls(plan_ctx, calls):
+        if error is not None:
+            raise error
         results.append(value)
     return results
 
@@ -505,23 +603,24 @@ def _shuffled(rng, items):
     return [items[int(i)] for i in order]
 
 
-def _box_call_checked(scene: Scene, view: int, obj: ObjectNode) -> ToolCall:
+def _box_call_checked(ctx: ExecutionContext, view: int, obj: ObjectNode) -> ToolCall:
     """Label-addressed box lookup, verified to resolve to the intended object."""
     call = _call("box_2d_to_box_3d", view=_int_scalar(view), label=Text(obj.label))
-    value = execute_tool(ExecutionContext(scene, "oracle"), call)
+    (value,) = _run_plan(ctx, [call])
     if value.box != obj.box3:
         raise InsufficientScene(f"{obj.label} is occluded in view {view}")
     return call
 
 
-def _build_object_size(scene, rng, template):
+def _build_object_size(ctx, rng, template):
+    scene = ctx.scene
     for view in _shuffled(rng, range(len(scene.views))):
         visible = _visible_objects(scene, view)
         if not visible:
             continue
         obj = _pick(rng, visible)
         try:
-            box_call = _box_call_checked(scene, view, obj)
+            box_call = _box_call_checked(ctx, view, obj)
         except InsufficientScene:
             continue
         dim, program = _SIZE_DIMS[int(rng.integers(len(_SIZE_DIMS)))]
@@ -529,7 +628,7 @@ def _build_object_size(scene, rng, template):
             box_call,
             _call("code_executor", program=Text(program), uses=_uses("r1")),
         ]
-        results = _run_plan(scene, calls)
+        results = _run_plan(ctx, calls)
         answer = Scalar(results[-1].value, "m")
         question = _pick(rng, QUESTION_BANK["object_size"]).format(
             dim=dim, label=obj.label, view=view
@@ -539,7 +638,8 @@ def _build_object_size(scene, rng, template):
     raise InsufficientScene("no visible object for a size question")
 
 
-def _build_inter_object_distance(scene, rng, template):
+def _build_inter_object_distance(ctx, rng, template):
+    scene = ctx.scene
     if len(scene.objects) < 2:
         raise InsufficientScene("need two objects for a distance question")
     multi = template.image_config == "multi_view" and len(scene.views) >= 2
@@ -560,8 +660,8 @@ def _build_inter_object_distance(scene, rng, template):
             continue
         a, b = _pick(rng, pairs)
         try:
-            call_a = _box_call_checked(scene, view_a, a)
-            call_b = _box_call_checked(scene, view_b, b)
+            call_a = _box_call_checked(ctx, view_a, a)
+            call_b = _box_call_checked(ctx, view_b, b)
         except InsufficientScene:
             continue
         calls = [
@@ -573,7 +673,7 @@ def _build_inter_object_distance(scene, rng, template):
                 uses=_uses("r1", "r2"),
             ),
         ]
-        results = _run_plan(scene, calls)
+        results = _run_plan(ctx, calls)
         answer = Scalar(results[-1].value, "m")
         question = _pick(rng, QUESTION_BANK["inter_object_distance"]).format(
             a=a.label, b=b.label
@@ -594,7 +694,8 @@ _LAYOUT_PROGRAM = (
 )
 
 
-def _build_spatial_layout_mcq(scene, rng, template):
+def _build_spatial_layout_mcq(ctx, rng, template):
+    scene = ctx.scene
     if len(scene.objects) < 2:
         raise InsufficientScene("need two objects for a layout question")
     for view in _shuffled(rng, range(len(scene.views))):
@@ -614,8 +715,8 @@ def _build_spatial_layout_mcq(scene, rng, template):
             continue
         a, b = _pick(rng, pairs)
         try:
-            call_a = _box_call_checked(scene, view, a)
-            call_b = _box_call_checked(scene, view, b)
+            call_a = _box_call_checked(ctx, view, a)
+            call_b = _box_call_checked(ctx, view, b)
         except InsufficientScene:
             continue
         calls = [
@@ -628,7 +729,7 @@ def _build_spatial_layout_mcq(scene, rng, template):
                 uses=_uses("r1", "r2", "r3"),
             ),
         ]
-        results = _run_plan(scene, calls)
+        results = _run_plan(ctx, calls)
         sign = results[-1].value
         if sign == 0.0:
             continue
@@ -644,7 +745,8 @@ def _build_spatial_layout_mcq(scene, rng, template):
     raise InsufficientScene("no laterally separated pair in any view")
 
 
-def _build_object_depth(scene, rng, template):
+def _build_object_depth(ctx, rng, template):
+    scene = ctx.scene
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
             try:
@@ -660,7 +762,7 @@ def _build_object_depth(scene, rng, template):
             calls = [
                 _call("depth_sensor", view=_int_scalar(view), point=point)
             ]
-            results = _run_plan(scene, calls)
+            results = _run_plan(ctx, calls)
             answer = Scalar(results[-1].value, "m")
             question = _pick(rng, QUESTION_BANK["object_depth"]).format(
                 label=obj.label, view=view
@@ -683,7 +785,8 @@ _CAMERA_CENTER_PROGRAM = (
 _RELATIVE_POSE_PROGRAM = "matmul(r2, inv_pose(r1))"
 
 
-def _build_relative_camera_pose(scene, rng, template):
+def _build_relative_camera_pose(ctx, rng, template):
+    scene = ctx.scene
     if len(scene.views) < 2:
         raise InsufficientScene("need two views for a camera-motion question")
     pivot = np.mean([o.box3.center for o in scene.objects], axis=0)
@@ -714,7 +817,7 @@ def _build_relative_camera_pose(scene, rng, template):
                     uses=_uses("r1", "r2"),
                 )
             )
-            results = _run_plan(scene, calls)
+            results = _run_plan(ctx, calls)
             sign = results[-1].value
             if sign == 0.0:
                 continue
@@ -736,7 +839,7 @@ def _build_relative_camera_pose(scene, rng, template):
                     uses=_uses("r1", "r2"),
                 )
             )
-            results = _run_plan(scene, calls)
+            results = _run_plan(ctx, calls)
             answer = results[-1]
             question = _pick(rng, QUESTION_BANK["relative_camera_pose_pose"]).format(
                 i=i, j=j
@@ -793,13 +896,14 @@ def _region_ok(scene, view, obj, region, point, clearance) -> bool:
     )
 
 
-def _build_point_3d_target(scene, rng, template):
+def _build_point_3d_target(ctx, rng, template):
+    scene = ctx.scene
     clearance = 0.05
     regions = (Relation.BELOW, Relation.ABOVE, Relation.LEFT_OF, Relation.RIGHT_OF)
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
             try:
-                box_call = _box_call_checked(scene, view, obj)
+                box_call = _box_call_checked(ctx, view, obj)
             except InsufficientScene:
                 continue
             for region in _shuffled(rng, regions):
@@ -832,7 +936,7 @@ def _build_point_3d_target(scene, rng, template):
                                 uses=_uses("r1", "r2"),
                             ),
                         ]
-                    results = _run_plan(scene, calls)
+                    results = _run_plan(ctx, calls)
                     point = results[-1]
                     if not isinstance(point, Point3):
                         raise AssertionError("point program must yield a 3D point")
@@ -850,12 +954,13 @@ def _build_point_3d_target(scene, rng, template):
     raise InsufficientScene("no feasible free-space region")
 
 
-def _build_pixel_2d_target(scene, rng, template):
+def _build_pixel_2d_target(ctx, rng, template):
+    scene = ctx.scene
     clearance = 0.05
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
             try:
-                box_call = _box_call_checked(scene, view, obj)
+                box_call = _box_call_checked(ctx, view, obj)
             except InsufficientScene:
                 continue
             for _ in range(12):
@@ -868,7 +973,7 @@ def _build_pixel_2d_target(scene, rng, template):
                     _call("camera_extrinsics", view=_int_scalar(view)),
                     _call("code_executor", program=Text(program), uses=_uses("r1")),
                 ]
-                head_results = _run_plan(scene, head)
+                head_results = _run_plan(ctx, head)
                 point = head_results[-1]
                 if not _region_ok(
                     scene, view, obj, Relation.BELOW, (point.x, point.y, point.z), clearance
@@ -885,7 +990,7 @@ def _build_pixel_2d_target(scene, rng, template):
                 calls = head + [
                     _call("point_3d_to_point_2d", view=_int_scalar(view), point=point)
                 ]
-                results = _run_plan(scene, calls)
+                results = _run_plan(ctx, calls)
                 answer = ValueList((results[-1],))
                 question = _pick(rng, QUESTION_BANK["pixel_2d_target"]).format(
                     label=obj.label, view=view
@@ -897,12 +1002,13 @@ def _build_pixel_2d_target(scene, rng, template):
     raise InsufficientScene("no below-region point projects into the image")
 
 
-def _build_metric_offset_placement(scene, rng, template):
+def _build_metric_offset_placement(ctx, rng, template):
+    scene = ctx.scene
     offsets = (0.1, 0.15, 0.2)
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
             try:
-                box_call = _box_call_checked(scene, view, obj)
+                box_call = _box_call_checked(ctx, view, obj)
             except InsufficientScene:
                 continue
             direction = _pick(rng, tuple(_OFFSET_DIRS))
@@ -918,7 +1024,7 @@ def _build_metric_offset_placement(scene, rng, template):
                 _call("camera_extrinsics", view=_int_scalar(view)),
                 _call("code_executor", program=Text(program), uses=_uses("r1", "r2")),
             ]
-            results = _run_plan(scene, calls)
+            results = _run_plan(ctx, calls)
             point = results[-1]
             if point.z <= scene.floor_z:
                 continue
@@ -950,8 +1056,10 @@ _BUILDERS = {
 def instantiate(template: Template, scene: Scene, seed: int, sample_id: int = 0) -> Sample:
     """Build one sample with a fully filled ground-truth trajectory."""
     rng = np.random.default_rng(seed)
+    # one context per record: every plan and check shares its tool cache
+    ctx = ExecutionContext(scene, "oracle")
     question, thoughts, calls, results, answer, views = _BUILDERS[template.family](
-        scene, rng, template
+        ctx, rng, template
     )
     trajectory = _assemble(thoughts, calls, results, answer, template.output_format)
     text = render_trajectory(trajectory)
@@ -980,6 +1088,8 @@ def self_check(sample: Sample) -> bool:
     if not validate_format(trajectory):
         return False
     try:
+        # a fresh context, so the replay recomputes every tool result rather
+        # than reading the ones generation cached
         replayed = run_trajectory(ExecutionContext(sample.scene, "oracle"), trajectory)
     except TrajectoryRunError:
         return False

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, minidsl, runtime
-from .runtime import ExecutionContext, check_call, execute_tool
-from .scene import UnknownView
+from . import runtime
+from .runtime import ExecutionContext, check_call, execute_calls
+from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
 from .trajectory import (
     Box2Value,
     Choice,
@@ -77,8 +77,12 @@ class RewardConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RewardConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("reward config must be a JSON object")
         kwargs = dict(doc)
         if "weights" in kwargs:
+            if not isinstance(kwargs["weights"], dict):
+                raise ValueError("weights must be an object mapping sub-rewards to weights")
             kwargs["weights"] = dict(kwargs["weights"])
         return cls(**kwargs)
 
@@ -275,33 +279,13 @@ def _stored_results(t: Trajectory):
     return results
 
 
-def _execute_calls(t: Trajectory, scene, mode: str):
-    """Run every call in order; returns per-call (value | None, error | None).
-
-    A failed call leaves no binding, so dependent code calls fail too.
-    """
-    ctx = ExecutionContext(scene, mode)
-    values = []
-    errors = []
-    for k, call in enumerate(t.calls):
-        value = None
-        error = None
-        try:
-            value = execute_tool(ctx, call)
-            ctx.bindings[f"r{k + 1}"] = value
-        except (
-            runtime.ToolError,
-            UnknownView,
-            geometry.GeometryError,
-            minidsl.DslError,
-        ) as exc:
-            error = exc
-        values.append(value)
-        errors.append(error)
-    return values, errors
-
-
 def _code_score(t: Trajectory, gt: Trajectory, values, cfg: RewardConfig) -> float:
+    """Execution and output-correctness score for code_executor calls.
+
+    `values` holds the executed result of each of t's calls (None where it
+    failed); each code call is compared to the order-aligned ground-truth
+    code result within the configured tolerance.
+    """
     gt_results = _stored_results(gt)
     gt_code = [
         gt_results[i]
@@ -326,23 +310,6 @@ def _code_score(t: Trajectory, gt: Trajectory, values, cfg: RewardConfig) -> flo
         total += cfg.lambda_exec * (1.0 if executed else 0.0)
         total += cfg.lambda_out * (1.0 if correct else 0.0)
     return total / n
-
-
-def score_code(
-    t: Trajectory,
-    ctx: ExecutionContext,
-    gt: Trajectory,
-    cfg: RewardConfig | None = None,
-) -> float:
-    """Execution and output-correctness score for code_executor calls.
-
-    The predicted trajectory's tools run in order (failures cascade through
-    the bindings they would have produced); each code call is compared to the
-    order-aligned ground-truth code result within the configured tolerance.
-    """
-    cfg = cfg or RewardConfig()
-    values, _ = _execute_calls(t, ctx.scene, ctx.mode)
-    return _code_score(t, gt, values, cfg)
 
 
 def score_answer(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None) -> float:
@@ -374,7 +341,10 @@ def score_trajectory(
 ) -> RewardBreakdown:
     """All five sub-rewards plus per-call diagnostics for one trajectory."""
     cfg = cfg or RewardConfig()
-    values, errors = _execute_calls(pred, scene, mode)
+    # every call runs; a failure cascades through the binding it leaves out
+    outcomes = list(execute_calls(ExecutionContext(scene, mode), pred.calls))
+    values = [value for value, _ in outcomes]
+    errors = [error for _, error in outcomes]
     parts = {
         "format": score_format(pred),
         "tool": score_tool(pred, gt, cfg),

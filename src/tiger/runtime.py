@@ -152,11 +152,17 @@ class RayHit:
 
 @dataclass
 class ExecutionContext:
-    """One run's state: the immutable scene plus accumulated result bindings."""
+    """One run's state: the immutable scene, result bindings and a tool cache.
+
+    The cache maps (mode, call) to the result of every successful call of a
+    scene-pure tool (all but code_executor), so a repeated lookup runs once
+    for as long as the context lives.
+    """
 
     scene: Scene
     mode: str = "oracle"
     bindings: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("oracle", "fitted"):
@@ -578,35 +584,59 @@ def execute_tool(ctx: ExecutionContext, call: ToolCall) -> Value:
     return _TOOL_IMPLS[call.name](ctx, call)
 
 
-def run_trajectory(ctx: ExecutionContext, t: Trajectory) -> Trajectory:
-    """Replay a trajectory, recomputing every tool result.
+# The failures a tool call reports as a result rather than a crash.
+_CALL_FAILURES = (ToolError, UnknownView, geometry.GeometryError, minidsl.DslError)
 
-    Each tool call executes in order; its result replaces the stored one (or
-    is inserted when the trace carried none).  Results are bound as r1, r2,
-    ... for later code_executor steps.  The first tool failure aborts with a
-    TrajectoryRunError carrying the step index.
+
+def _execute_cached(ctx: ExecutionContext, call: ToolCall) -> Value:
+    if call.name == "code_executor":  # reads the bindings, so never pure
+        return execute_tool(ctx, call)
+    key = (ctx.mode, call)
+    value = ctx.cache.get(key)
+    if value is None:
+        value = ctx.cache[key] = execute_tool(ctx, call)
+    return value
+
+
+def execute_calls(ctx: ExecutionContext, calls):
+    """Execute calls in order, yielding (value, None) or (None, error) per call.
+
+    A success binds its value as r{k}, k being the call's 1-based position; a
+    failure leaves no binding, so later calls that use it fail too.  The
+    caller decides whether to go on after a failure: a call runs only when
+    the next pair is requested.
     """
-    out = []
-    call_no = 0
-    skip_next_result = False
-    for index, step in enumerate(t.steps):
-        if isinstance(step, ToolResult):
-            if skip_next_result:
-                skip_next_result = False
-                continue
-            out.append(step)
+    for k, call in enumerate(calls, start=1):
+        try:
+            value = _execute_cached(ctx, call)
+        except _CALL_FAILURES as exc:
+            yield None, exc
             continue
-        skip_next_result = False
-        if isinstance(step, ToolCall):
-            try:
-                value = execute_tool(ctx, step)
-            except (ToolError, UnknownView, geometry.GeometryError, minidsl.DslError) as exc:
-                raise TrajectoryRunError(index, exc) from exc
-            call_no += 1
-            ctx.bindings[f"r{call_no}"] = value
-            out.append(step)
-            out.append(ToolResult(value))
-            skip_next_result = True
-        else:
-            out.append(step)
+        ctx.bindings[f"r{k}"] = value
+        yield value, None
+
+
+def run_trajectory(ctx: ExecutionContext, t: Trajectory) -> Trajectory:
+    """Replay a trajectory, recomputing its tool results from the scene.
+
+    Each tool call executes in order (a call already made in ctx is read from
+    its cache); its result replaces the stored one (or is inserted when the
+    trace carried none).  Results are bound as r1, r2,
+    ... for later code_executor steps.  The first tool failure aborts with a
+    TrajectoryRunError carrying the step index; no later call runs.
+    """
+    steps = t.steps
+    call_steps = [i for i, step in enumerate(steps) if isinstance(step, ToolCall)]
+    results = {}
+    for index, (value, error) in zip(call_steps, execute_calls(ctx, t.calls)):
+        if error is not None:
+            raise TrajectoryRunError(index, error) from error
+        results[index] = value
+    out = []
+    for index, step in enumerate(steps):
+        if isinstance(step, ToolResult) and index - 1 in results:
+            continue  # the stored result of the call just before
+        out.append(step)
+        if index in results:
+            out.append(ToolResult(results[index]))
     return Trajectory(tuple(out))

@@ -62,6 +62,31 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad config: ")
 
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            {"object_count": 3},
+            {"view_count": [2, 1]},
+            {"labels": ["box", 7]},
+            {"room_extent": [2.4, 2.4]},
+            {"orbit_radius": [1.6, "far"]},
+            {"orbit_height": [1.2, 0.3]},
+            {"min_half_extent": 0.3},
+            {"max_half_extent": -0.1},
+            {"hover_range": [1.0]},
+            {"placement_margin": -0.01},
+            {"max_attempts": "x"},
+            {"intrinsics": [1, 2]},
+        ],
+        ids=lambda scene: next(iter(scene)),
+    )
+    def test_scene_field_of_wrong_shape_names_it(self, tmp_path, capsys, scene):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(CONFIG, scene=scene)))
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: bad config: {next(iter(scene))} ")
+
     def test_infeasible_mix_exits_one(self, tmp_path, capsys):
         config = {
             "count": 2,
@@ -216,6 +241,22 @@ class TestScore:
         assert len(calls) == 2
         rows = [json.loads(line) for line in report.read_text().splitlines()]
         assert len(rows) == 8 and all(row["composite"] == 1.0 for row in rows)
+
+    @pytest.mark.parametrize(
+        "doc", [[], {"weights": [0.1, 0.2, 0.2, 0.2, 0.3]}], ids=["array", "weights_array"]
+    )
+    def test_reward_config_of_wrong_shape_exits_one(self, tmp_path, dataset, capsys, doc):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"id": record["id"], "trajectory": record["trajectory"]}) + "\n")
+        reward_config = tmp_path / "reward.json"
+        reward_config.write_text(json.dumps(doc))
+        code = main(
+            ["score", "--dataset", str(dataset), "--candidates", str(cands),
+             "--reward-config", str(reward_config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad reward config: ")
 
     def test_unmatched_ids_reported(self, tmp_path, dataset, capsys):
         record = json.loads(dataset.read_text().splitlines()[0])
@@ -393,3 +434,11 @@ class TestDsl:
 
     def test_error_exits_one(self, capsys):
         assert main(["dsl", "--program", "1/0"]) == 1
+
+    @pytest.mark.parametrize("doc", [["a"], {"a": 5}], ids=["array", "number_value"])
+    def test_bindings_of_wrong_shape_exit_one(self, tmp_path, capsys, doc):
+        bindings = tmp_path / "b.json"
+        bindings.write_text(json.dumps(doc))
+        code = main(["dsl", "--program", "a", "--bindings", str(bindings)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad bindings: ")

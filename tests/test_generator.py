@@ -1,8 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import tiger.generator
+import tiger.runtime
 from tiger.generator import (
     DEFAULT_MIX,
     FAMILIES,
@@ -19,17 +24,21 @@ from tiger.generator import (
     generate_scene,
     instantiate,
     regenerate_from_manifest,
+    _placement_clear,
     self_check,
 )
-from tiger.geometry import obb_distance, relative_camera_motion, OrbitDirection
+from tiger.geometry import OrientedBox3, obb_distance, relative_camera_motion, OrbitDirection
 from tiger.rewards import check_interval, score_trajectory
 from tiger.runtime import ExecutionContext, run_trajectory
 from tiger.scene import Scene
 from tiger.scenegraph import Relation, region_contains
+from tiger.minidsl import DslError
 from tiger.trajectory import (
     Choice,
     Point3,
     Scalar,
+    Text,
+    ToolCall,
     ValueList,
     parse_trajectory,
     render_trajectory,
@@ -70,6 +79,55 @@ class TestSceneGeneration:
                     scene.project_box(obj, v) is not None
                     for v in range(len(scene.views))
                 )
+
+
+_BOX_FIELDS = st.tuples(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.3, 1.5)),
+    st.tuples(st.floats(0.02, 0.5), st.floats(0.02, 0.5), st.floats(0.02, 0.5)),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@st.composite
+def placement_cases(draw):
+    """A candidate box's fields, the boxes placed before it, and a margin."""
+    (cx, cy, cz), half, yaw = draw(_BOX_FIELDS)
+    placed = [OrientedBox3(*draw(_BOX_FIELDS)) for _ in range(draw(st.integers(0, 4)))]
+    shape = draw(st.sampled_from(("free", "stacked", "crossing")))
+    if placed and shape == "stacked":
+        # straight above the first placed box; a zero gap makes them touch
+        below = placed[0]
+        gap = draw(st.sampled_from((0.0, 0.04)) | st.floats(0.0, 0.1))
+        cx, cy = below.center[:2]
+        cz = below.zmax + gap + half[2]
+    elif placed and shape == "crossing":
+        # same center, turned a quarter: a "plus" through the first box
+        cx, cy, cz = placed[0].center
+        yaw = placed[0].yaw + math.pi / 2
+    center = (cx, cy, cz)
+    margin = draw(st.sampled_from((0.0, 0.04)) | st.floats(0.0, 0.2))
+    if placed and draw(st.booleans()):
+        # within 1e-8 of one pair's exact distance
+        d = obb_distance(OrientedBox3(center, half, yaw), draw(st.sampled_from(placed)))
+        margin = max(d + draw(st.floats(-1e-8, 1e-8)), 0.0)
+    return center, half, yaw, placed, margin
+
+
+_BELOW = OrientedBox3((0.1, -0.2, 0.8), (0.2, 0.15, 0.1), 0.3)
+_STACKED = ((0.1, -0.2, 0.8 + 0.1 + 0.04 + 0.12), (0.1, 0.3, 0.12), -1.1)
+_STACKED_GAP = obb_distance(OrientedBox3(*_STACKED), _BELOW)
+
+
+@given(placement_cases())
+@example((*_STACKED, [_BELOW], _STACKED_GAP))
+@example((*_STACKED, [_BELOW], _STACKED_GAP - 5e-10))
+@example((*_STACKED, [_BELOW], _STACKED_GAP + 5e-10))
+@example(((0.1, -0.2, 0.8), (0.02, 0.4, 0.1), 0.3, [_BELOW], 0.0))
+def test_placement_shortcuts_decide_exactly(case):
+    center, half, yaw, placed, margin = case
+    box = OrientedBox3(center, half, yaw)
+    expected = all(obb_distance(box, other) > margin for other in placed)
+    assert _placement_clear(center, half, yaw, placed, margin) == expected
 
 
 class TestTemplates:
@@ -211,6 +269,50 @@ class TestInstantiate:
                 if done >= 3:
                     break
             assert done >= 1, f"no {family} samples produced"
+
+
+def test_each_plan_binds_only_its_own_results():
+    scene = generate_scene(PARAMS, 3)
+    ctx = ExecutionContext(scene, "oracle")
+    extrinsics = ToolCall("camera_extrinsics", (("view", Scalar(0.0)),))
+    echo_r2 = ToolCall("code_executor", (("program", Text("r2")),))
+    (pose, _, echoed) = tiger.generator._run_plan(ctx, [extrinsics, extrinsics, echo_r2])
+    assert echoed == pose
+    with pytest.raises(DslError):
+        tiger.generator._run_plan(ctx, [echo_r2])  # r2 is not bound in this plan
+
+
+def test_instantiate_casts_each_lookup_once(monkeypatch):
+    """The checked lookup and every plan of the retry loop share one cast."""
+    executed, casts = [], []
+    real_execute, real_cast = tiger.runtime.execute_tool, tiger.runtime.cast_rays
+
+    def execute(ctx, call):
+        executed.append(call)
+        return real_execute(ctx, call)
+
+    def cast(*args, **kwargs):
+        casts.append(args[1])
+        return real_cast(*args, **kwargs)
+
+    monkeypatch.setattr(tiger.runtime, "execute_tool", execute)
+    monkeypatch.setattr(tiger.runtime, "cast_rays", cast)
+    # the replay audit runs in a fresh context on purpose; leave it out here
+    monkeypatch.setattr(tiger.generator, "self_check", lambda sample: True)
+    produced = 0
+    for seed in range(15):
+        executed.clear()
+        casts.clear()
+        scene = generate_scene(PARAMS, seed)
+        try:
+            sample = instantiate(Template("point_3d_target"), scene, seed)
+        except InsufficientScene:
+            continue
+        lookups = [c for c in executed if c.name == "box_2d_to_box_3d"]
+        assert len(lookups) == len(set(lookups)) == len(casts)
+        assert parse_trajectory(sample.trajectory_text).calls[0] in lookups
+        produced += 1
+    assert produced >= 10
 
 
 class TestSelfCheck:

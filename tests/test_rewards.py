@@ -14,14 +14,12 @@ from tiger.rewards import (
     grpo_advantages,
     grpo_objective,
     score_answer,
-    score_code,
     score_format,
     score_param,
     score_tool,
     score_trajectory,
     sft_loss,
 )
-from tiger.runtime import ExecutionContext
 from tiger.scene import ObjectNode, Scene
 from tiger.trajectory import parse_trajectory
 
@@ -141,8 +139,7 @@ class TestScoreParam:
 class TestScoreCode(object):
     def test_matching_program(self, scene):
         gt = trace(GT_BODY)
-        ctx = ExecutionContext(scene, "oracle")
-        assert score_code(gt, ctx, gt) == 1.0
+        assert score_trajectory(gt, gt, scene).r_code == 1.0
 
     def test_division_by_zero_scores_zero(self, scene):
         gt = trace(GT_BODY)
@@ -150,8 +147,7 @@ class TestScoreCode(object):
             '"2 * vec_get(obb_half(r1), 2)"', '"1/0"'
         )
         pred = trace(pred_body)
-        ctx = ExecutionContext(scene, "oracle")
-        assert score_code(pred, ctx, gt) == 0.0
+        assert score_trajectory(pred, gt, scene).r_code == 0.0
 
     def test_wrong_output_gets_lambda_exec(self, scene):
         gt = trace(GT_BODY)
@@ -159,14 +155,12 @@ class TestScoreCode(object):
             '"2 * vec_get(obb_half(r1), 2)"', '"3 * vec_get(obb_half(r1), 2)"'
         )
         pred = trace(pred_body)
-        ctx = ExecutionContext(scene, "oracle")
-        assert score_code(pred, ctx, gt) == pytest.approx(0.3, abs=1e-12)
+        assert score_trajectory(pred, gt, scene).r_code == pytest.approx(0.3, abs=1e-12)
 
     def test_no_code_calls(self, scene):
-        ctx = ExecutionContext(scene, "oracle")
         empty = trace("<tool_call>camera_intrinsics(view=0)</tool_call>")
-        assert score_code(empty, ctx, empty) == 1.0
-        assert score_code(empty, ctx, trace(GT_BODY)) == 0.0
+        assert score_trajectory(empty, empty, scene).r_code == 1.0
+        assert score_trajectory(empty, trace(GT_BODY), scene).r_code == 0.0
 
 
 class TestScoreAnswer:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tiger.runtime
 from tiger.generator import SceneParams, generate_scene
 from tiger.geometry import (
     BehindCamera,
@@ -28,6 +29,7 @@ from tiger.runtime import (
     cast_ray,
     cast_rays,
     check_call,
+    execute_calls,
     execute_tool,
     run_trajectory,
 )
@@ -570,3 +572,97 @@ class TestRunTrajectory:
         relative = np.array(filled.steps[-2].value.rows)
         expected = scene.views[1].matrix4() @ np.linalg.inv(scene.views[0].matrix4())
         assert np.allclose(relative, expected, atol=1e-12)
+
+    def test_failing_call_stops_the_replay(self, scene, monkeypatch):
+        executed = []
+
+        def recording(ctx, tool_call):
+            executed.append(tool_call.name)
+            return execute_tool(ctx, tool_call)
+
+        monkeypatch.setattr(tiger.runtime, "execute_tool", recording)
+        text = (
+            "<think>x</think>"
+            "<tool_call>warp_drive(view=0)</tool_call>"
+            "<tool_call>camera_intrinsics(view=0)</tool_call>"
+            "<answer format=scalar>0</answer>"
+        )
+        with pytest.raises(TrajectoryRunError) as info:
+            run_trajectory(ExecutionContext(scene, "oracle"), parse_trajectory(text))
+        assert info.value.step_index == 1
+        assert executed == ["warp_drive"]
+
+
+def count_casts(monkeypatch):
+    """Patch runtime.cast_rays to count its calls; returns the growing list."""
+    casts = []
+    real = tiger.runtime.cast_rays
+
+    def counting(*args, **kwargs):
+        casts.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tiger.runtime, "cast_rays", counting)
+    return casts
+
+
+class TestExecuteCalls:
+    LOOKUP = call("box_2d_to_box_3d", view=Scalar(0.0), label=Text("crate"))
+
+    def test_failed_call_leaves_no_binding(self, ctx):
+        outcomes = list(
+            execute_calls(
+                ctx,
+                [
+                    call("warp_drive", view=Scalar(0.0)),
+                    call("camera_extrinsics", view=Scalar(0.0)),
+                    call("code_executor", program=Text("r1"), uses=ValueList((Text("r1"),))),
+                ],
+            )
+        )
+        assert [error is None for _, error in outcomes] == [False, True, False]
+        assert isinstance(outcomes[0][1], UnknownTool)
+        assert isinstance(outcomes[2][1], SchemaError)  # r1 was never bound
+        assert set(ctx.bindings) == {"r2"}
+
+    def test_repeated_pure_call_casts_once(self, ctx, monkeypatch):
+        casts = count_casts(monkeypatch)
+        first, second = execute_calls(ctx, [self.LOOKUP, self.LOOKUP])
+        assert len(casts) == 1
+        assert first == second and first[1] is None
+        assert ctx.bindings == {"r1": first[0], "r2": first[0]}
+        (again,) = execute_calls(ctx, [self.LOOKUP])  # later, same context
+        assert again == first and len(casts) == 1
+        (fresh,) = execute_calls(ExecutionContext(ctx.scene, "oracle"), [self.LOOKUP])
+        assert fresh == first and len(casts) == 2
+
+    def test_mode_is_part_of_the_key(self, scene):
+        shared = {}
+        oracle = ExecutionContext(scene, "oracle", cache=shared)
+        fitted = ExecutionContext(scene, "fitted", cache=shared)
+        ((oracle_box, _),) = execute_calls(oracle, [self.LOOKUP])
+        ((fitted_box, _),) = execute_calls(fitted, [self.LOOKUP])
+        assert oracle_box.box == scene.objects[0].box3
+        assert fitted_box == execute_tool(ExecutionContext(scene, "fitted"), self.LOOKUP)
+        assert fitted_box != oracle_box
+        assert len(shared) == 2
+
+    def test_code_executor_is_never_cached(self, ctx):
+        echo = call("code_executor", program=Text("r1"), uses=ValueList((Text("r1"),)))
+        for view in (0.0, 1.0):
+            (pose, _), (echoed, error) = execute_calls(
+                ctx, [call("camera_extrinsics", view=Scalar(view)), echo]
+            )
+            assert error is None and echoed == pose
+
+    def test_failure_is_not_cached(self, ctx, monkeypatch):
+        casts = count_casts(monkeypatch)
+        corner = call(
+            "object_segmentation",
+            view=Scalar(0.0),
+            box=Box2Value(Box2(0.0, 0.0, 3.0, 3.0)),
+        )
+        (first,), (second,) = execute_calls(ctx, [corner]), execute_calls(ctx, [corner])
+        assert isinstance(first[1], EmptyRegion) and isinstance(second[1], EmptyRegion)
+        assert len(casts) == 2
+        assert ctx.cache == {} and ctx.bindings == {}
