@@ -22,7 +22,6 @@ from .rewards import RewardConfig, evaluate_delta2, check_interval, score_trajec
 from .runtime import ExecutionContext, TrajectoryRunError, run_trajectory
 from .scene import Scene, SceneError
 from .trajectory import (
-    TrajectoryError,
     parse_trajectory,
     parse_value,
     render_trajectory,
@@ -63,6 +62,13 @@ def _read_jsonl(path):
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from exc
     return records
+
+
+def _field(record: dict, name: str):
+    """record[name]; a missing field is a ValueError that names it."""
+    if name not in record:
+        raise ValueError(f'missing "{name}"')
+    return record[name]
 
 
 def _index_by_id(path, records) -> dict:
@@ -144,6 +150,8 @@ def cmd_score(args) -> int:
         return _fail(str(exc))
     # ground truth and scene, parsed once per id on its first candidate
     parsed = {}
+    # the tool cache of the current run of consecutive candidates for one id
+    cache, cache_id = {}, None
     report = RunReport()
     unmatched = []
     for number, cand in candidates:
@@ -155,20 +163,22 @@ def cmd_score(args) -> int:
             unmatched.append(sample_id)
             continue
         try:
-            pred = parse_trajectory(cand["trajectory"])
-        except (TrajectoryError, KeyError, TypeError) as exc:
+            pred = parse_trajectory(_field(cand, "trajectory"))
+        except (ValueError, TypeError) as exc:
             return _fail(f"{args.candidates}:{number}: {exc}")
         if sample_id not in parsed:
             line, record = entry
             try:
                 parsed[sample_id] = (
-                    parse_trajectory(record["trajectory"]),
-                    Scene.from_dict(record["scene"]),
+                    parse_trajectory(_field(record, "trajectory")),
+                    Scene.from_dict(_field(record, "scene")),
                 )
-            except (TrajectoryError, SceneError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 return _fail(f"{args.dataset}:{line}: {exc}")
         gt, scene = parsed[sample_id]
-        breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg)
+        if sample_id != cache_id:
+            cache, cache_id = {}, sample_id
+        breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg, cache=cache)
         row = {"id": sample_id, **breakdown.to_dict()}
         report.rows.append(row)
         for diag in breakdown.diagnostics:

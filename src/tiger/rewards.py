@@ -338,11 +338,20 @@ def score_trajectory(
     scene,
     mode: str = "oracle",
     cfg: RewardConfig | None = None,
+    cache: dict | None = None,
 ) -> RewardBreakdown:
-    """All five sub-rewards plus per-call diagnostics for one trajectory."""
+    """All five sub-rewards plus per-call diagnostics for one trajectory.
+
+    cache, when given, is the execution context's tool cache (see
+    runtime.ExecutionContext), shared with other scorings on the same scene:
+    a scene-pure call one of them already made is read from it.  The
+    trajectory always binds its own r1..rN, and the scores do not depend on
+    what the cache held.  Without it the context gets a fresh cache.
+    """
     cfg = cfg or RewardConfig()
+    ctx = ExecutionContext(scene, mode, cache={} if cache is None else cache)
     # every call runs; a failure cascades through the binding it leaves out
-    outcomes = list(execute_calls(ExecutionContext(scene, mode), pred.calls))
+    outcomes = list(execute_calls(ctx, pred.calls))
     values = [value for value, _ in outcomes]
     errors = [error for _, error in outcomes]
     parts = {

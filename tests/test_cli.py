@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from tiger.cli import main
 from tiger.generator import SceneParams, generate_scene
+from tiger.trajectory import Text, parse_trajectory
 
 CONFIG = {
     "count": 6,
@@ -265,6 +267,114 @@ class TestScore:
         code = main(["score", "--dataset", str(dataset), "--candidates", str(cands)])
         assert code == 0
         assert "unmatched" in capsys.readouterr().err
+
+    def test_candidate_without_trajectory_names_it(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"id": record["id"]}) + "\n")
+        code = main(["score", "--dataset", str(dataset), "--candidates", str(cands)])
+        assert code == 1
+        assert capsys.readouterr().err == f'error: {cands}:1: missing "trajectory"\n'
+
+    @pytest.mark.parametrize("field", ["scene", "trajectory"])
+    def test_dataset_record_without_field_names_it(self, tmp_path, dataset, capsys, field):
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        cand = {"id": record["id"], "trajectory": record["trajectory"]}
+        del record[field]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps(cand) + "\n")
+        code = main(["score", "--dataset", str(broken), "--candidates", str(cands)])
+        assert code == 1
+        assert capsys.readouterr().err == f'error: {broken}:2: missing "{field}"\n'
+
+
+def _record_tool_calls(monkeypatch):
+    """A list that records the call of every later tool execution, in order."""
+    import tiger.runtime
+
+    calls = []
+    execute_tool = tiger.runtime.execute_tool
+    monkeypatch.setattr(
+        tiger.runtime, "execute_tool", lambda ctx, call: calls.append(call) or execute_tool(ctx, call)
+    )
+    return calls
+
+
+def _score_lines(path, dataset, cands):
+    """The report lines of one `tiger score` call on (id, trajectory) pairs."""
+    path.write_text(
+        "".join(json.dumps({"id": i, "trajectory": t}) + "\n" for i, t in cands)
+    )
+    report = path.with_suffix(".report")
+    args = ["score", "--dataset", str(dataset), "--candidates", str(path)]
+    assert main(args + ["--out", str(report)]) == 0
+    return report.read_text().splitlines()
+
+
+# a code call without `uses`, which sees every result its own trace bound
+LEAKY_CODE = (
+    '<think>x</think><tool_call>code_executor(program="2 * vec_get(obb_half(r1), 2)")'
+    "</tool_call><answer format=scalar>0m</answer>"
+)
+
+
+class TestScoreGroupCache:
+    """Consecutive candidates for one id share one tool cache."""
+
+    def test_group_runs_each_scene_pure_call_once(self, tmp_path, dataset, monkeypatch):
+        records = [json.loads(line) for line in dataset.read_text().splitlines()]
+        record = max(records, key=lambda r: len(parse_trajectory(r["trajectory"]).calls))
+        gt_calls = parse_trajectory(record["trajectory"]).calls
+        pure = [c for c in gt_calls if c.name != "code_executor"]
+        code = len(gt_calls) - len(pure)
+        assert len(set(pure)) == len(pure) > 1 and code == 1
+        calls = _record_tool_calls(monkeypatch)
+        lines = _score_lines(tmp_path / "c.jsonl", dataset, [(record["id"], record["trajectory"])] * 8)
+        assert [c for c in calls if c.name != "code_executor"] == pure
+        assert sum(c.name == "code_executor" for c in calls) == 8 * code
+        assert all(json.loads(line)["composite"] == 1.0 for line in lines)
+
+    def test_each_candidate_binds_its_own_results(self, tmp_path, dataset):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        group = [(record["id"], record["trajectory"]), (record["id"], LEAKY_CODE)]
+        first, second = _score_lines(tmp_path / "group.jsonl", dataset, group)
+        assert json.loads(first)["composite"] == 1.0
+        assert json.loads(second)["diagnostics"][0]["error"] is not None
+        assert _score_lines(tmp_path / "alone.jsonl", dataset, group[1:]) == [second]
+
+    def test_failed_call_fails_again(self, tmp_path, dataset, monkeypatch):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        bad = re.sub(r'label="[^"]*"', 'label="unicorn"', record["trajectory"])
+        calls = _record_tool_calls(monkeypatch)
+        lines = _score_lines(tmp_path / "c.jsonl", dataset, [(record["id"], bad)] * 2)
+        assert sum(c.arg("label") == Text("unicorn") for c in calls) == 2
+        errors = [json.loads(line)["diagnostics"][0]["error"] for line in lines]
+        assert errors[0] is not None and errors[0] == errors[1]
+        assert lines[0] == lines[1]
+
+    def test_rows_do_not_depend_on_order(self, tmp_path, dataset):
+        records = [json.loads(line) for line in dataset.read_text().splitlines()[:4]]
+        traces = [r["trajectory"] for r in records]
+        variants = [
+            *traces,  # every id runs every record's calls on its own scene
+            *(re.sub(r'label="[^"]*"', 'label="unicorn"', t) for t in traces),
+            *(re.sub(r"view=\d+", "view=9", t, count=1) for t in traces),
+            LEAKY_CODE,
+        ]
+        # interleaved: consecutive candidates never share an id
+        cands = [(r["id"], v) for v in variants for r in records]
+        interleaved = _score_lines(tmp_path / "interleaved.jsonl", dataset, cands)
+        order = sorted(range(len(cands)), key=lambda n: cands[n][0])
+        grouped = _score_lines(tmp_path / "grouped.jsonl", dataset, [cands[n] for n in order])
+        assert [interleaved[n] for n in order] == grouped
+        alone = [
+            _score_lines(tmp_path / f"alone{n}.jsonl", dataset, [cand])[0]
+            for n, cand in enumerate(cands)
+        ]
+        assert interleaved == alone
 
 
 class TestRun:
