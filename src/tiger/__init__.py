@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 from .geometry import (
     Box2,
     CameraIntrinsics,
-    DepthMap,
     OrientedBox3,
     Pose,
     fit_obb,
-    iou_2d,
     obb_distance,
     project,
     relative_camera_motion,
@@ -24,7 +22,6 @@ from .generator import SceneParams, Template, generate_dataset, generate_scene, 
 __all__ = [
     "Box2",
     "CameraIntrinsics",
-    "DepthMap",
     "ExecutionContext",
     "ObjectNode",
     "OrientedBox3",
@@ -39,7 +36,6 @@ __all__ = [
     "generate_dataset",
     "generate_scene",
     "instantiate",
-    "iou_2d",
     "obb_distance",
     "parse_trajectory",
     "project",

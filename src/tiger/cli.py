@@ -100,7 +100,7 @@ def cmd_generate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             config = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot read config: {exc}")
     if not isinstance(config, dict):
         return _fail("bad config: expected a JSON object")
@@ -109,7 +109,9 @@ def cmd_generate(args) -> int:
         mix = config.get("mix", generator.DEFAULT_MIX)
         if not isinstance(mix, dict):
             raise ValueError("mix must be an object mapping families to ratios")
-        count = int(config.get("count", 10))
+        count = config.get("count", 10)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, not {count!r}")
         seed = int(config.get("seed", 0))
         if args.seed is not None:
             seed = args.seed
@@ -121,6 +123,8 @@ def cmd_generate(args) -> int:
         manifest = generate_dataset(params, mix, count, seed, args.out, jobs=args.jobs)
     except (GenerationError, PlacementFailure) as exc:
         return _fail(str(exc), code=2)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}")
     print(f"wrote {count} samples to {args.out}")
     print(f"manifest: {args.out}.manifest.json ({manifest['digest']})")
     return 0
@@ -191,7 +195,10 @@ def cmd_score(args) -> int:
                     }
                 )
     report.seconds = time.monotonic() - started
-    out = open(args.out, "w", encoding="utf-8") if args.out else None
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}")
     try:
         for row in report.rows:
             line = json.dumps(row)
@@ -236,8 +243,11 @@ def cmd_run(args) -> int:
         return _fail(str(exc), code=3)
     rendered = render_trajectory(filled)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(rendered + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc}")
     else:
         print(rendered)
     return 0
@@ -301,8 +311,8 @@ def cmd_dsl(args) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as f:
                 source = f.read()
-        except OSError as exc:
-            return _fail(str(exc))
+        except (OSError, ValueError) as exc:
+            return _fail(f"cannot read {args.file}: {exc}")
     else:
         source = args.program
     bindings = {}

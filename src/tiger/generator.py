@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .scenegraph import Relation, region_contains, spatial_relation
 from .trajectory import (
     Answer,
     Choice,
-    Matrix,
     Point2,
     Point3,
     Scalar,

@@ -16,7 +16,6 @@ from enum import Enum
 import numpy as np
 
 WORLD_UP = (0.0, 0.0, 1.0)
-WORLD_GRAVITY = (0.0, 0.0, -1.0)
 
 _ORTHO_TOL = 1e-9
 
@@ -137,11 +136,6 @@ class Pose:
         return f"Pose(R={self.rotation.tolist()}, t={self.translation.tolist()})"
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    """Transform applying b first, then a."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
 def invert(a: Pose) -> Pose:
     return Pose(a.rotation.T, -(a.rotation.T @ a.translation))
 
@@ -182,10 +176,6 @@ class Box2:
             raise GeometryError("box coordinates must be finite")
         if not (self.umin < self.umax and self.vmin < self.vmax):
             raise GeometryError("box must have positive extent")
-
-    @property
-    def area(self) -> float:
-        return (self.umax - self.umin) * (self.vmax - self.vmin)
 
 
 @dataclass(frozen=True)
@@ -256,30 +246,6 @@ class OrientedBox3:
         return OrientedBox3(self.center, (hx, hy, hz), yaw)
 
 
-@dataclass(frozen=True)
-class DepthMap:
-    """Dense per-pixel metric depth; zero encodes an invalid measurement."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.height, self.width):
-            raise GeometryError("depth values must be height x width")
-        if not np.all(np.isfinite(vals)):
-            raise GeometryError("depth values must be finite")
-        if np.any(vals < 0):
-            raise GeometryError("valid depth values must be positive")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def valid_mask(self) -> np.ndarray:
-        return self.values > 0
-
-
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
@@ -323,12 +289,6 @@ def project_many(points, intr: CameraIntrinsics, pose: Pose) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def gravity_direction(pose: Pose) -> np.ndarray:
-    """Unit gravity vector expressed in the camera frame of the pose."""
-    g = pose.rotation @ np.asarray(WORLD_GRAVITY)
-    return g / np.linalg.norm(g)
-
-
 # ---------------------------------------------------------------------------
 # Camera motion
 # ---------------------------------------------------------------------------
@@ -365,15 +325,6 @@ def relative_camera_motion(pose1: Pose, pose2: Pose, pivot):
 # ---------------------------------------------------------------------------
 # 2D / 3D box math
 # ---------------------------------------------------------------------------
-
-
-def iou_2d(a: Box2, b: Box2) -> float:
-    iw = min(a.umax, b.umax) - max(a.umin, b.umin)
-    ih = min(a.vmax, b.vmax) - max(a.vmin, b.vmin)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
 
 
 def _footprint_distance(a: OrientedBox3, b: OrientedBox3) -> float:

@@ -135,9 +135,6 @@ REGISTRY = {
     )
 }
 
-TOOL_NAMES = tuple(sorted(REGISTRY))
-
-
 @dataclass(frozen=True)
 class RayHit:
     """Nearest-hit result of one camera ray: z-depth plus the hit owner."""
@@ -325,16 +322,6 @@ def cast_ray(scene: Scene, view: int, u: float, v: float):
         return None
     owner = FLOOR if owners[0] == -2 else scene.objects[owners[0]].id
     return RayHit(float(depths[0]), owner)
-
-
-def render_depth_map(scene: Scene, view: int) -> geometry.DepthMap:
-    """Full-image analytic depth for one view; misses encode as zero."""
-    k = scene.intrinsics
-    ii, jj = np.meshgrid(np.arange(k.width), np.arange(k.height))
-    depths, _ = cast_rays(scene, view, ii + 0.5, jj + 0.5)
-    return geometry.DepthMap(
-        k.width, k.height, np.where(np.isfinite(depths), depths, 0.0)
-    )
 
 
 def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):

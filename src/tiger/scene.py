@@ -63,12 +63,6 @@ class Scene:
             raise UnknownView(f"view {view} does not exist")
         return self.views[view]
 
-    def object_by_id(self, object_id: int) -> ObjectNode:
-        for o in self.objects:
-            if o.id == object_id:
-                return o
-        raise SceneError(f"no object with id {object_id}")
-
     def objects_by_label(self, label: str):
         return [o for o in self.objects if o.label == label]
 
@@ -150,14 +144,6 @@ class Scene:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "Scene":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def load(cls, path) -> "Scene":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())

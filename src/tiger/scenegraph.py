@@ -1,7 +1,7 @@
-"""Scene graphs: pairwise spatial relations over ground-truth boxes.
+"""Spatial-relation predicates and region membership over ground-truth boxes.
 
 Camera-centric relations (left/right/front/behind) are judged on camera-frame
-center coordinates with a hysteresis margin so near-ties produce no edge;
+center coordinates with a hysteresis margin so near-ties do not hold;
 above/below compare world-frame vertical intervals.  All predicates are pure,
 so directional duality holds exactly by construction.
 """
@@ -9,27 +9,11 @@ so directional duality holds exactly by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .geometry import (
-    Box2,
-    OrientedBox3,
-    Pose,
-    invert,
-    iou_2d,
-    obb_distance,
-    point_obb_distance,
-    project_half_extent,
-    transform,
-)
-from .scene import Scene
-
-
-class InfeasibleRegion(ValueError):
-    pass
+from .geometry import OrientedBox3, Pose, point_obb_distance, project_half_extent, transform
 
 
 class Relation(str, Enum):
@@ -39,42 +23,9 @@ class Relation(str, Enum):
     BEHIND = "behind"
     ABOVE = "above"
     BELOW = "below"
-    BETWEEN = "between"
 
-
-DIRECTIONAL_RELATIONS = (
-    Relation.LEFT_OF,
-    Relation.RIGHT_OF,
-    Relation.IN_FRONT_OF,
-    Relation.BEHIND,
-    Relation.ABOVE,
-    Relation.BELOW,
-)
 
 MIN_MARGIN = 0.02  # meters of hysteresis for camera-centric ties
-
-
-@dataclass(frozen=True)
-class RelationEdge:
-    """One spatial relation between objects, judged in the frame of a view.
-
-    For BETWEEN edges, src lies between dst and other.
-    """
-
-    src: int
-    dst: int
-    relation: Relation
-    frame: int
-    center_distance: float
-    surface_distance: float
-    other: int | None = None
-
-
-@dataclass(frozen=True)
-class SceneGraph:
-    view: int
-    nodes: tuple
-    edges: tuple
 
 
 def _axis_separated(a: OrientedBox3, b: OrientedBox3, pose: Pose, axis: int) -> float:
@@ -98,7 +49,6 @@ def spatial_relation(
     b: OrientedBox3,
     pose: Pose,
     relation: Relation,
-    other: OrientedBox3 | None = None,
 ) -> bool:
     """Decide whether the relation holds for box a with respect to box b."""
     if relation is Relation.LEFT_OF:
@@ -113,117 +63,8 @@ def spatial_relation(
         return a.zmin >= b.zmax
     if relation is Relation.BELOW:
         return spatial_relation(b, a, pose, Relation.ABOVE)
-    if relation is Relation.BETWEEN:
-        if other is None:
-            raise ValueError("BETWEEN needs the second flanking box")
-        return is_between(a, b, other)
     raise ValueError(f"unknown relation {relation!r}")
 
-
-def _point_segment_distance(p, a, b) -> float:
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def is_between(a: OrientedBox3, c: OrientedBox3, b: OrientedBox3) -> bool:
-    """True when a's center lies in the capsule around the c-to-b segment.
-
-    The capsule radius is the mean of a's horizontal half extents.
-    """
-    radius = (a.half_extents[0] + a.half_extents[1]) / 2.0
-    return _point_segment_distance(a.center, c.center, b.center) <= radius
-
-
-def build_scene_graph(scene: Scene, view: int) -> SceneGraph:
-    """Evaluate every relation predicate over every ordered object pair."""
-    pose = scene.pose(view)
-    if not scene.objects:
-        raise ValueError("scene has no objects")
-    edges = []
-    objs = scene.objects
-    for a in objs:
-        for b in objs:
-            if a.id == b.id:
-                continue
-            center_d = float(
-                np.linalg.norm(np.asarray(a.box3.center) - np.asarray(b.box3.center))
-            )
-            surface_d = None
-            for rel in DIRECTIONAL_RELATIONS:
-                if spatial_relation(a.box3, b.box3, pose, rel):
-                    if surface_d is None:
-                        surface_d = obb_distance(a.box3, b.box3)
-                    edges.append(
-                        RelationEdge(a.id, b.id, rel, view, center_d, surface_d)
-                    )
-    for a in objs:
-        for i, c in enumerate(objs):
-            for b in objs[i + 1 :]:
-                if a.id in (c.id, b.id):
-                    continue
-                if is_between(a.box3, c.box3, b.box3):
-                    mid = (
-                        np.asarray(c.box3.center) + np.asarray(b.box3.center)
-                    ) / 2.0
-                    edges.append(
-                        RelationEdge(
-                            a.id,
-                            c.id,
-                            Relation.BETWEEN,
-                            view,
-                            float(np.linalg.norm(np.asarray(a.box3.center) - mid)),
-                            min(
-                                obb_distance(a.box3, c.box3),
-                                obb_distance(a.box3, b.box3),
-                            ),
-                            other=b.id,
-                        )
-                    )
-    return SceneGraph(view, objs, tuple(edges))
-
-
-def match_annotations(predicted, reference, threshold: float):
-    """Greedy one-to-one box matching by descending IoU.
-
-    predicted is a list of (label, Box2), reference a list of Box2; pairs
-    below the IoU threshold are discarded.  Returns (pred_index, ref_index,
-    iou) triples.
-    """
-    if not (0 < threshold <= 1):
-        raise ValueError("threshold must be in (0, 1]")
-    candidates = []
-    for i, (_, pbox) in enumerate(predicted):
-        for j, rbox in enumerate(reference):
-            v = iou_2d(pbox, rbox)
-            if v >= threshold:
-                candidates.append((-v, i, j))
-    candidates.sort()
-    used_i, used_j = set(), set()
-    matches = []
-    for neg_v, i, j in candidates:
-        if i in used_i or j in used_j:
-            continue
-        used_i.add(i)
-        used_j.add(j)
-        matches.append((i, j, -neg_v))
-    return matches
-
-
-_REGION_RELATIONS = {
-    Relation.BELOW,
-    Relation.ABOVE,
-    Relation.LEFT_OF,
-    Relation.RIGHT_OF,
-    Relation.IN_FRONT_OF,
-    Relation.BEHIND,
-}
 
 _POINT_HALF = 1e-6  # point-sized box used to re-verify region predicates
 
@@ -242,56 +83,3 @@ def region_contains(point, anchor, region, pose, clearance, floor_z=-math.inf) -
     wrap = OrientedBox3(tuple(p), (_POINT_HALF,) * 3, 0.0)
     return spatial_relation(wrap, anchor, pose, region)
 
-
-def sample_region_point(
-    anchor: OrientedBox3,
-    region: Relation,
-    pose: Pose,
-    clearance: float,
-    seed: int,
-    floor_z: float = -math.inf,
-) -> np.ndarray:
-    """Draw a world-frame point in the given region of an anchor box.
-
-    The point keeps at least `clearance` from the box surface, stays above
-    the floor, and is deterministic for a given seed.  The draw is
-    re-verified against the corresponding relation predicate.
-    """
-    if region not in _REGION_RELATIONS:
-        raise ValueError(f"cannot sample region {region!r}")
-    rng = np.random.default_rng(seed)
-    rot = anchor.rotation()
-    center = np.asarray(anchor.center)
-    hx, hy, hz = anchor.half_extents
-
-    if region is Relation.BELOW and anchor.zmin - clearance <= floor_z + 1e-9:
-        raise InfeasibleRegion("no space between floor and box bottom")
-
-    for _ in range(256):
-        if region in (Relation.BELOW, Relation.ABOVE):
-            ox, oy = rng.uniform(-0.85, 0.85, size=2) * (hx, hy)
-            if region is Relation.BELOW:
-                z_hi = anchor.zmin - clearance
-                z_lo = max(floor_z + 1e-9, z_hi - 1.0)  # bounded window without a floor
-                z = rng.uniform(z_lo, z_hi)
-            else:
-                z = anchor.zmax + clearance + rng.uniform(0.0, 0.5)
-            p = center + rot @ np.array([ox, oy, 0.0])
-            p[2] = z
-        else:
-            axis = 0 if region in (Relation.LEFT_OF, Relation.RIGHT_OF) else 2
-            sign = -1.0 if region in (Relation.LEFT_OF, Relation.IN_FRONT_OF) else 1.0
-            axis_world = pose.rotation.T[:, axis]
-            half_proj = project_half_extent(anchor, axis_world)
-            gap = clearance + MIN_MARGIN + rng.uniform(0.01, 0.3)
-            lateral = rng.uniform(-0.3, 0.3, size=3)
-            lateral[axis] = 0.0
-            p_cam = (
-                transform(pose, center)
-                + sign * (half_proj + gap) * np.eye(3)[axis]
-                + lateral
-            )
-            p = transform(invert(pose), p_cam)
-        if region_contains(p, anchor, region, pose, clearance, floor_z):
-            return p
-    raise InfeasibleRegion(f"could not place a point {region.value} the anchor")

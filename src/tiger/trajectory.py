@@ -579,9 +579,6 @@ def render_trajectory(t: Trajectory) -> str:
 # Format validation
 # ---------------------------------------------------------------------------
 
-ANSWER_FORMATS = ("choice", "scalar", "point2", "point3", "pose", "text")
-
-
 def _values_in(step: Step):
     if isinstance(step, ToolCall):
         for _, v in step.args:

@@ -15,6 +15,13 @@ CONFIG = {
 }
 
 
+def assert_one_error(capsys, prefix):
+    """The command wrote exactly one line to stderr, an error starting with prefix."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}")
+    assert err.count("\n") == 1
+
+
 @pytest.fixture
 def dataset(tmp_path):
     config_path = tmp_path / "config.json"
@@ -100,6 +107,32 @@ class TestGenerate:
         code = main(["generate", "--config", str(path), "--out", str(tmp_path / "x.jsonl")])
         assert code == 1
         assert "views" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("count", [0, -1, 2.7])
+    def test_count_not_a_positive_integer_exits_one(self, tmp_path, capsys, count):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(CONFIG, count=count)))
+        out = tmp_path / "x.jsonl"
+        code = main(["generate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert_one_error(capsys, f"bad config: count must be an integer >= 1, not {count!r}")
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"count": 2, "seed": "\xe9"}')
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        assert_one_error(capsys, "cannot read config: ")
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG, count=2)))
+        out = tmp_path / "nodir" / "x.jsonl"
+        code = main(["generate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert_one_error(capsys, f"cannot write {out}: ")
 
 
 class TestScore:
@@ -290,6 +323,13 @@ class TestScore:
         assert code == 1
         assert capsys.readouterr().err == f'error: {broken}:2: missing "{field}"\n'
 
+    def test_unwritable_out_exits_one(self, tmp_path, dataset, capsys):
+        out = tmp_path / "nodir" / "report.jsonl"
+        args = ["--dataset", str(dataset), "--candidates", str(dataset), "--out", str(out)]
+        code = main(["score", *args])
+        assert code == 1
+        assert_one_error(capsys, f"cannot write {out}: ")
+
 
 def _record_tool_calls(monkeypatch):
     """A list that records the call of every later tool execution, in order."""
@@ -428,6 +468,19 @@ class TestRun:
         assert "step 1" in capsys.readouterr().err
 
 
+    def test_unwritable_out_exits_one(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(record["scene"]))
+        traj_path = tmp_path / "traj.txt"
+        traj_path.write_text(record["trajectory"])
+        out = tmp_path / "nodir" / "filled.txt"
+        args = ["--scene", str(scene_path), "--trajectory", str(traj_path), "--out", str(out)]
+        code = main(["run", *args])
+        assert code == 1
+        assert_one_error(capsys, f"cannot write {out}: ")
+
+
 class TestEval:
     def _write(self, path, rows):
         with open(path, "w") as f:
@@ -552,3 +605,9 @@ class TestDsl:
         code = main(["dsl", "--program", "a", "--bindings", str(bindings)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad bindings: ")
+
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "program.txt"
+        path.write_bytes(b"\xff\xfe1")
+        assert main(["dsl", "--file", str(path)]) == 1
+        assert_one_error(capsys, f"cannot read {path}: ")

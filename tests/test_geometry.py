@@ -10,7 +10,6 @@ from tiger.geometry import (
     Box2,
     CameraIntrinsics,
     DegeneratePivot,
-    DepthMap,
     GeometryError,
     NonPositiveDepth,
     OrbitDirection,
@@ -18,11 +17,8 @@ from tiger.geometry import (
     OutOfBounds,
     Pose,
     TooFewPoints,
-    compose,
     fit_obb,
-    gravity_direction,
     invert,
-    iou_2d,
     obb_distance,
     point_obb_distance,
     project,
@@ -102,17 +98,8 @@ class TestPoseAlgebra:
         points = rng.uniform(-3, 3, size=(100, 3))
         for _ in range(20):
             a = random_pose(rng)
-            round_tripped = transform(compose(a, invert(a)), points)
+            round_tripped = transform(a, transform(invert(a), points))
             assert np.max(np.abs(round_tripped - points)) < 1e-12
-
-    def test_associativity(self):
-        rng = np.random.default_rng(12)
-        p = rng.uniform(-2, 2, size=3)
-        for _ in range(20):
-            a, b, c = (random_pose(rng) for _ in range(3))
-            left = transform(compose(compose(a, b), c), p)
-            right = transform(compose(a, compose(b, c)), p)
-            assert np.max(np.abs(left - right)) < 1e-12
 
     def test_invert_is_an_involution(self):
         rng = np.random.default_rng(14)
@@ -292,45 +279,6 @@ class TestObbDistance:
         assert sampled - analytic <= 2.0 * res
 
 
-class TestIou:
-    def test_identical(self):
-        b = Box2(3.0, 4.0, 10.0, 12.0)
-        assert iou_2d(b, b) == 1.0
-
-    def test_disjoint(self):
-        assert iou_2d(Box2(0, 0, 1, 1), Box2(5, 5, 6, 6)) == 0.0
-
-    def test_half_overlap_unit_squares(self):
-        assert iou_2d(Box2(0, 0, 1, 1), Box2(0.5, 0, 1.5, 1)) == pytest.approx(1 / 3)
-
-    def test_monotone_when_translated_apart(self):
-        a = Box2(0, 0, 2, 2)
-        previous = 1.0
-        for shift in np.linspace(0.0, 3.0, 13):
-            value = iou_2d(a, Box2(shift, 0, shift + 2, 2))
-            assert 0.0 <= value <= previous
-            previous = value
-
-
-class TestGravity:
-    def test_identity(self):
-        assert np.allclose(gravity_direction(Pose.identity()), [0, 0, -1], atol=0)
-
-    def test_forward_pointing_down(self):
-        rotation = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
-        g = gravity_direction(Pose(rotation, np.zeros(3)))
-        assert np.allclose(g, [0, 0, 1], atol=1e-15)
-
-    def test_random_pose_matches_algebra_and_norm(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            pose = random_pose(rng)
-            g = gravity_direction(pose)
-            expected = invert(pose).rotation.T @ np.array([0.0, 0.0, -1.0])
-            assert np.allclose(g, expected, atol=1e-12)
-            assert abs(np.linalg.norm(g) - 1.0) < 1e-12
-
-
 class TestFitObb:
     def test_axis_aligned_corners_recovered(self):
         box = OrientedBox3((1.0, 2.0, 3.0), (0.5, 0.25, 0.75), 0.0)
@@ -392,13 +340,6 @@ class TestTypes:
     def test_obb_rejects_bad_extents(self):
         with pytest.raises(GeometryError):
             OrientedBox3((0, 0, 0), (1.0, 0.0, 1.0), 0.0)
-
-    def test_depth_map_validation(self):
-        DepthMap(2, 2, np.array([[0.0, 1.0], [2.0, 3.0]]))
-        with pytest.raises(GeometryError):
-            DepthMap(2, 2, np.array([[0.0, -1.0], [2.0, 3.0]]))
-        with pytest.raises(GeometryError):
-            DepthMap(2, 1, np.zeros((2, 2)))
 
     def test_canonical_folds_quarter_turns(self):
         box = OrientedBox3((0, 0, 0), (0.4, 0.2, 0.1), math.radians(100.0))
