@@ -112,7 +112,9 @@ def cmd_generate(args) -> int:
         count = config.get("count", 10)
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ValueError(f"count must be an integer >= 1, not {count!r}")
-        seed = int(config.get("seed", 0))
+        seed = config.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, not {seed!r}")
         if args.seed is not None:
             seed = args.seed
         generator.allocate_counts(mix, count)

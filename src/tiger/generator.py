@@ -14,9 +14,11 @@ generation order and parallelism.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -1221,12 +1223,24 @@ def generate_dataset(
     out_path,
     jobs: int = 1,
 ) -> dict:
-    """Write the dataset file plus its manifest; returns the manifest."""
-    lines, counts = generate_records(params, mix, count, master_seed, jobs=jobs)
-    payload = "".join(line + "\n" for line in lines)
-    data = payload.encode("utf-8")
-    with open(out_path, "wb") as f:
-        f.write(data)
+    """Write the dataset file plus its manifest; returns the manifest.
+
+    The dataset goes to a sibling file, created before any record is made and
+    renamed to out_path once complete: an unwritable path fails at once, and
+    a failed run leaves an existing file as it was.
+    """
+    partial = f"{os.fspath(out_path)}.tmp"
+    f = open(partial, "wb")
+    try:
+        with f:
+            lines, counts = generate_records(params, mix, count, master_seed, jobs=jobs)
+            data = "".join(line + "\n" for line in lines).encode("utf-8")
+            f.write(data)
+        os.replace(partial, out_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
     manifest = {
         "params": params.to_dict(),
         "mix": {k: mix[k] for k in sorted(mix)},

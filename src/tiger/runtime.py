@@ -153,7 +153,10 @@ class ExecutionContext:
 
     The cache maps (mode, call) to the result of every successful call of a
     scene-pure tool (all but code_executor), so a repeated lookup runs once
-    for as long as the context lives.
+    for as long as the context lives.  It also maps ("program", source,
+    known names) to each code_executor program parsed without error, so a
+    program is parsed once; its result is never cached, since it depends
+    on the bindings.
     """
 
     scene: Scene
@@ -546,8 +549,14 @@ def _tool_code_executor(ctx, call):
             if name not in ctx.bindings:
                 raise SchemaError(f"unknown result binding {name!r}")
     bindings = {name: _to_dsl(ctx.bindings[name]) for name in names}
-    result = minidsl.run(source, bindings)
-    return _from_dsl(result)
+    known = tuple(bindings)
+    # a Program is a pure function of (source, known); parse errors raise
+    # before anything is stored, so they are never cached
+    key = ("program", source, known)
+    program = ctx.cache.get(key)
+    if program is None:
+        program = ctx.cache[key] = minidsl.parse_program(source, known=known)
+    return _from_dsl(minidsl.evaluate(program, bindings))
 
 
 _TOOL_IMPLS = {

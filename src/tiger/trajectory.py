@@ -225,239 +225,289 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-_NUM_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_UNIT_RE = re.compile(r"[a-z]+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_CHOICE_RE = re.compile(r"[A-F](?![A-Za-z0-9_])")
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+#
+# A scanner over compiled patterns.  Every pattern reads the whitespace
+# before its token.  A run of comma-separated numbers, the body of a tuple,
+# a box(...) or a matrix row, is one match, and so is a scalar with its unit.
+# The last match of a value also reads the whitespace after it and the
+# delimiter after that, so that a list or a call sees its next ',' or its
+# closer without another match.  The value parsers take the text and an
+# offset and return (value, offset of the delimiter, delimiter), where the
+# delimiter is ',', ')', ']' or '' for anything else.
+
+_WS = r"[ \t\r\n]*"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUM = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_WS_RE = re.compile(_WS)
+_NUM_RE = re.compile(_NUM)
+_DELIMITER = _WS + r"([,)\]]?)"
+_DELIMITER_RE = re.compile(_DELIMITER)
+# groups: the run of numbers with its whitespace, the next character (the
+# closer, if all is well), and the delimiter after that
+_NUMBERS_RE = re.compile(f"{_WS}({_NUM}{_WS}(?:,{_WS}{_NUM}{_WS})*)(.?){_DELIMITER}", re.DOTALL)
+# Every value starts with one match of this pattern: a number with its unit,
+# the whitespace after it and the ',', ')' or ']' after that ('' if none);
+# else the opener of a compound value; else a choice letter.
+_VALUE = (
+    f"(?:(?P<number>{_NUM})(?P<unit>[a-z]*){_WS}(?P<delimiter>[,)\\]]?)"
+    r'|(?P<opener>\(|\[|"|px\(|box\(|obb\()|(?P<choice>[A-F])(?![A-Za-z0-9_]))'
+)
+_VALUE_RE = re.compile(_WS + _VALUE)
+# a call argument: its name, '=' and the start of its value
+_ARGUMENT_RE = re.compile(f"{_WS}(?P<key>{_IDENT}){_WS}={_WS}{_VALUE}")
+# a string body with valid escapes only; it stops at a bad escape or the end
+_STRING_BODY = r'[^"\\]*(?:\\["\\nt][^"\\]*)*'
+_STRING_RE = re.compile(f'({_STRING_BODY})"{_DELIMITER}')
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+_ESCAPE_RE = re.compile(r'\\(["\\nt])')
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_BLOCK_RE = re.compile(_WS + "(<think>|<tool_call>|<tool_response>|<answer)")
 
 
-class _Reader:
-    __slots__ = ("text", "pos")
+def _chain(*tokens):
+    """A pattern for tokens in sequence, each with the whitespace after it.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def match(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.match(literal):
-            raise TrajectorySyntaxError(f"expected {literal!r}", self.pos)
-
-    def until(self, closing: str) -> str:
-        end = self.text.find(closing, self.pos)
-        if end < 0:
-            raise TrajectorySyntaxError(f"missing {closing!r}", self.pos)
-        chunk = self.text[self.pos : end]
-        self.pos = end + len(closing)
-        return chunk
-
-    def ident(self) -> str:
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise TrajectorySyntaxError("expected identifier", self.pos)
-        self.pos = m.end()
-        return m.group()
+    Each token is optional after the one before, so a match stops where the
+    first missing token belongs; None stands for an identifier.
+    """
+    pattern = ""
+    for token in reversed(tokens):
+        body = _IDENT if token is None else re.escape(token)
+        pattern = f"(?:({body}){_WS}{pattern})?"
+    messages = tuple("expected identifier" if t is None else f"expected {t!r}" for t in tokens)
+    return re.compile(_WS + pattern), messages
 
 
-def _parse_string(r: _Reader) -> str:
-    out = []
-    while True:
-        if r.eof():
-            raise TrajectorySyntaxError("unterminated string", r.pos)
-        ch = r.text[r.pos]
-        r.pos += 1
-        if ch == '"':
-            return "".join(out)
-        if ch == "\\":
-            if r.eof():
-                raise TrajectorySyntaxError("unterminated escape", r.pos)
-            esc = r.text[r.pos]
-            r.pos += 1
-            table = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-            if esc not in table:
-                raise TrajectorySyntaxError(f"bad escape \\{esc}", r.pos - 1)
-            out.append(table[esc])
-        else:
-            out.append(ch)
+_CALL_HEAD = _chain(None, "(")
+_ARGUMENT = _chain(None, "=")
+_CALL_END = _chain("</tool_call>")
+_RESPONSE_END = _chain("</tool_response>")
+_ANSWER_HEAD = _chain("format", "=", None, ">")
+_ANSWER_END = _chain("</answer>")
+_OBB_CENTER = _chain("center", "=", "(")
+_OBB_HALF = _chain(",", "half", "=", "(")
+_OBB_YAW = _chain(",", "yaw", "=")
 
 
-def _parse_number(r: _Reader) -> float:
-    m = _NUM_RE.match(r.text, r.pos)
-    if not m:
-        raise TrajectorySyntaxError("expected number", r.pos)
-    r.pos = m.end()
-    value = float(m.group())
-    if not math.isfinite(value):
-        raise TrajectorySyntaxError("number out of range", r.pos)
-    return value
+def _scan(chain, text: str, pos: int):
+    """Match a chain at pos, or raise at the first token it lacks."""
+    pattern, messages = chain
+    m = pattern.match(text, pos)
+    found = m.lastindex or 0
+    if found < len(messages):
+        raise TrajectorySyntaxError(messages[found], m.end())
+    return m
 
 
-def _parse_tuple(r: _Reader):
-    # '(' already consumed
-    nums = []
-    r.skip_ws()
-    while True:
-        nums.append(_parse_number(r))
-        r.skip_ws()
-        if r.match(")"):
-            break
-        r.expect(",")
-        r.skip_ws()
-    if len(nums) == 2:
-        return Point2(nums[0], nums[1], pixel=False)
-    if len(nums) == 3:
-        return Point3(nums[0], nums[1], nums[2])
-    raise TrajectorySyntaxError("point tuples have 2 or 3 components", r.pos)
+def _floats(text: str, run, numbers) -> list:
+    """The floats of the leading `numbers` texts of a _NUMBERS_RE match."""
+    values = list(map(float, numbers))
+    if not all(map(math.isfinite, values)):
+        for value, number in zip(values, _NUM_RE.finditer(text, run.start(1))):
+            if not math.isfinite(value):
+                raise TrajectorySyntaxError("number out of range", number.end())
+    return values
+
+
+def _numbers(text: str, pos: int, count: int = 0):
+    """Numbers separated by ',' and closed by ')': (values, the run's match).
+
+    With a count, exactly that many; else any number of them.  The ')' ends
+    at run.end(2), and group 3 of the run is the delimiter after it.
+    """
+    run = _NUMBERS_RE.match(text, pos)
+    if run is None:
+        raise TrajectorySyntaxError("expected number", _WS_RE.match(text, pos).end())
+    numbers = run[1].split(",")
+    found = len(numbers)
+    values = _floats(text, run, numbers[:count] if count else numbers)
+    stop, at = run[2], run.start(2)
+    if count and found >= count:
+        if found > count:  # where the ')' belongs, a ',' goes on
+            at = run.start(1) + len(",".join(numbers[:count]))
+        elif stop == ")":
+            return values, run
+        raise TrajectorySyntaxError("expected ')'", at)
+    if stop == ",":  # a comma that no number follows
+        raise TrajectorySyntaxError("expected number", _WS_RE.match(text, at + 1).end())
+    if stop == ")" and not count:
+        return values, run
+    raise TrajectorySyntaxError("expected ','", at)
+
+
+def _point(text: str, pos: int):
+    # '(' already read; returns the 2 or 3 numbers and the run's match
+    values, run = _numbers(text, pos)
+    if not 2 <= len(values) <= 3:
+        raise TrajectorySyntaxError("point tuples have 2 or 3 components", run.end(2))
+    return values, run
+
+
+def _parse_box(text: str, pos: int):
+    # 'box(' already read
+    values, run = _numbers(text, pos, 4)
+    try:
+        return Box2Value(Box2(*values)), run.start(3), run[3]
+    except ValueError as exc:
+        raise TrajectorySyntaxError(str(exc), run.end(2)) from exc
+
+
+def _parse_obb(text: str, pos: int):
+    # 'obb(' already read
+    fields = []
+    for key, chain in (("center", _OBB_CENTER), ("half", _OBB_HALF)):
+        values, run = _point(text, _scan(chain, text, pos).end())
+        pos = run.end(2)
+        if len(values) != 3:
+            raise TrajectorySyntaxError(f"{key} must be a 3-tuple", pos)
+        fields.append(values)
+    (yaw,), run = _numbers(text, _scan(_OBB_YAW, text, pos).end(), 1)
+    try:
+        return ObbValue(OrientedBox3(fields[0], fields[1], yaw)), run.start(3), run[3]
+    except ValueError as exc:
+        raise TrajectorySyntaxError(str(exc), run.end(2)) from exc
+
+
+def _parse_string(text: str, pos: int):
+    # '"' already read
+    m = _STRING_RE.match(text, pos)
+    if m is None:
+        end = _STRING_BODY_RE.match(text, pos).end()
+        if end == len(text):
+            raise TrajectorySyntaxError("unterminated string", end)
+        # the body stopped at a backslash
+        if end + 1 == len(text):
+            raise TrajectorySyntaxError("unterminated escape", end + 1)
+        raise TrajectorySyntaxError(f"bad escape \\{text[end + 1]}", end + 1)
+    body = m[1]
+    if "\\" in body:
+        body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
+    return Text(body), m.start(2), m[2]
 
 
 _MAX_VALUE_DEPTH = 32
 
 
-def _parse_bracket(r: _Reader, depth: int):
-    # '[' already consumed
+def _parse_bracket(text: str, pos: int, depth: int):
+    """'[' already read.
+
+    A row, a list of plain numbers, is one run of numbers and comes back as
+    the tuple of its floats, so that an enclosing bracket can take its rows
+    as a matrix; `_value` makes a row that stays alone a list.
+    """
     if depth > _MAX_VALUE_DEPTH:
-        raise TrajectorySyntaxError("value nesting too deep", r.pos)
+        raise TrajectorySyntaxError("value nesting too deep", pos)
+    run = _NUMBERS_RE.match(text, pos)
+    if run is not None and run[2] == "]":
+        return tuple(_floats(text, run, run[1].split(","))), run.start(3), run[3]
+    pos = _WS_RE.match(text, pos).end()
+    if text.startswith("]", pos):
+        return _delimited(ValueList(()), text, pos + 1)
     items = []
-    r.skip_ws()
-    if r.match("]"):
-        return ValueList(())
     while True:
-        items.append(_parse_value(r, depth))
-        r.skip_ws()
-        if r.match("]"):
+        item, pos, delimiter = _parse_item(text, _start(text, pos), depth)
+        items.append(item)
+        if delimiter != ",":
             break
-        r.expect(",")
-        r.skip_ws()
-    rows = []
-    for item in items:
-        if not (
-            isinstance(item, ValueList)
-            and item.items
-            and all(isinstance(x, Scalar) and not x.unit for x in item.items)
-        ):
-            return ValueList(tuple(items))
-        rows.append(tuple(x.value for x in item.items))
-    if any(len(row) != len(rows[0]) for row in rows):
-        return ValueList(tuple(items))
-    return Matrix(tuple(rows))
+        pos += 1
+    if delimiter != "]":
+        raise TrajectorySyntaxError("expected ','", pos)
+    if set(map(type, items)) == {tuple} and len(set(map(len, items))) == 1:
+        return _delimited(Matrix(tuple(items)), text, pos + 1)
+    return _delimited(ValueList(tuple(map(_value, items))), text, pos + 1)
 
 
-def _parse_value(r: _Reader, depth: int = 0) -> Value:
-    r.skip_ws()
-    if r.eof():
-        raise TrajectorySyntaxError("expected value", r.pos)
-    ch = r.text[r.pos]
-    if ch == "(":
-        r.pos += 1
-        return _parse_tuple(r)
-    if ch == "[":
-        r.pos += 1
-        return _parse_bracket(r, depth + 1)
-    if ch == '"':
-        r.pos += 1
-        return Text(_parse_string(r))
-    if r.match("px("):
-        p = _parse_tuple(r)
-        if not isinstance(p, Point2):
-            raise TrajectorySyntaxError("px(...) takes two components", r.pos)
-        return Point2(p.x, p.y, pixel=True)
-    if r.match("box("):
-        nums = []
-        for i in range(4):
-            r.skip_ws()
-            nums.append(_parse_number(r))
-            r.skip_ws()
-            r.expect("," if i < 3 else ")")
-        try:
-            return Box2Value(Box2(*nums))
-        except ValueError as exc:
-            raise TrajectorySyntaxError(str(exc), r.pos) from exc
-    if r.match("obb("):
-        fields = {}
-        for i, key in enumerate(("center", "half", "yaw")):
-            r.skip_ws()
-            r.expect(key)
-            r.skip_ws()
-            r.expect("=")
-            r.skip_ws()
-            if key == "yaw":
-                fields[key] = _parse_number(r)
-            else:
-                r.expect("(")
-                p = _parse_tuple(r)
-                if not isinstance(p, Point3):
-                    raise TrajectorySyntaxError(f"{key} must be a 3-tuple", r.pos)
-                fields[key] = (p.x, p.y, p.z)
-            r.skip_ws()
-            r.expect("," if i < 2 else ")")
-        try:
-            return ObbValue(OrientedBox3(fields["center"], fields["half"], fields["yaw"]))
-        except ValueError as exc:
-            raise TrajectorySyntaxError(str(exc), r.pos) from exc
-    m = _CHOICE_RE.match(r.text, r.pos)
-    if m:
-        r.pos = m.end()
-        return Choice(m.group())
-    m = _NUM_RE.match(r.text, r.pos)
-    if m:
-        value = _parse_number(r)
-        mu = _UNIT_RE.match(r.text, r.pos)
-        unit = ""
-        if mu:
-            unit = mu.group()
-            r.pos = mu.end()
-        return Scalar(value, unit)
-    raise TrajectorySyntaxError("expected value", r.pos)
+def _delimited(item, text: str, pos: int):
+    m = _DELIMITER_RE.match(text, pos)
+    return item, m.start(1), m[1]
+
+
+def _start(text: str, pos: int):
+    """The first match of the value at pos."""
+    m = _VALUE_RE.match(text, pos)
+    if m is None:
+        raise TrajectorySyntaxError("expected value", _WS_RE.match(text, pos).end())
+    return m
+
+
+def _parse_item(text: str, m, depth: int):
+    """The value whose first match is m (see `_start`).
+
+    Returns (item, offset after the value and its whitespace, delimiter
+    there): the item is a Value, or a row of plain numbers as a tuple (see
+    `_parse_bracket`); the delimiter is the ',', ')' or ']' at the offset, or
+    '' when anything else is there.
+    """
+    number = m["number"]
+    if number is not None:
+        value = float(number)
+        if not math.isfinite(value):
+            raise TrajectorySyntaxError("number out of range", m.end("number"))
+        return Scalar(value, m["unit"]), m.start("delimiter"), m["delimiter"]
+    opener, pos = m["opener"], m.end()
+    if opener == '"':
+        return _parse_string(text, pos)
+    if opener == "(":
+        values, run = _point(text, pos)
+        return (Point2(*values) if len(values) == 2 else Point3(*values)), run.start(3), run[3]
+    if opener == "[":
+        return _parse_bracket(text, pos, depth + 1)
+    if opener == "obb(":
+        return _parse_obb(text, pos)
+    if opener == "px(":
+        values, run = _point(text, pos)
+        if len(values) != 2:
+            raise TrajectorySyntaxError("px(...) takes two components", run.end(2))
+        return Point2(values[0], values[1], pixel=True), run.start(3), run[3]
+    if opener == "box(":
+        return _parse_box(text, pos)
+    return _delimited(Choice(m["choice"]), text, pos)
+
+
+def _value(item) -> Value:
+    if type(item) is tuple:
+        return ValueList(tuple(Scalar(x) for x in item))
+    return item
 
 
 def parse_value(text: str) -> Value:
     """Parse a standalone value literal; the whole string must be consumed."""
-    r = _Reader(text)
-    v = _parse_value(r)
-    r.skip_ws()
-    if not r.eof():
-        raise TrajectorySyntaxError("trailing characters after value", r.pos)
-    return v
+    item, pos, _ = _parse_item(text, _start(text, 0), 0)
+    if pos != len(text):
+        raise TrajectorySyntaxError("trailing characters after value", pos)
+    return _value(item)
 
 
-def _parse_call_body(r: _Reader) -> ToolCall:
-    r.skip_ws()
-    name = r.ident()
-    r.skip_ws()
-    r.expect("(")
+def _argument(text: str, pos: int):
+    """The first match of a call argument: its name, '=' and its value's start."""
+    m = _ARGUMENT_RE.match(text, pos)
+    if m is None:  # raise where the name, the '=' or the value is missing
+        _start(text, _scan(_ARGUMENT, text, pos).end())
+    return m
+
+
+def _parse_call(text: str, pos: int):
+    # '<tool_call>' already read; returns the call and the offset after its end tag
+    m = _scan(_CALL_HEAD, text, pos)
+    name, pos = m[1], m.end()
     args = []
-    r.skip_ws()
-    if not r.match(")"):
+    if text.startswith(")", pos):
+        pos += 1
+    else:
         while True:
-            r.skip_ws()
-            key = r.ident()
-            r.skip_ws()
-            r.expect("=")
-            value = _parse_value(r)
-            args.append((key, value))
-            r.skip_ws()
-            if r.match(")"):
+            m = _argument(text, pos)
+            item, pos, delimiter = _parse_item(text, m, 0)
+            args.append((m["key"], _value(item)))
+            if delimiter != ",":
                 break
-            r.expect(",")
-    r.skip_ws()
-    return ToolCall(name, tuple(args))
+            pos += 1
+        if delimiter != ")":
+            raise TrajectorySyntaxError("expected ','", pos)
+        pos += 1
+    return ToolCall(name, tuple(args)), _scan(_CALL_END, text, pos).end()
 
 
 def parse_trajectory(text: str) -> Trajectory:
@@ -468,55 +518,46 @@ def parse_trajectory(text: str) -> Trajectory:
     """
     if not isinstance(text, str):
         raise TypeError("trajectory text must be str")
-    r = _Reader(text)
     steps = []
+    pos = 0
     while True:
-        r.skip_ws()
-        if r.eof():
-            raise OrderingError("missing final answer", r.pos)
-        start = r.pos
-        if r.match("<think>"):
-            steps.append(Thought(r.until("</think>")))
-        elif r.match("<tool_call>"):
-            call = _parse_call_body(r)
-            r.expect("</tool_call>")
+        m = _BLOCK_RE.match(text, pos)
+        if m is None:
+            pos = _WS_RE.match(text, pos).end()
+            if pos == len(text):
+                raise OrderingError("missing final answer", pos)
+            raise TrajectorySyntaxError("expected a tagged block", pos)
+        tag, start, pos = m[1], m.start(1), m.end()
+        if tag == "<think>":
+            end = text.find("</think>", pos)
+            if end < 0:
+                raise TrajectorySyntaxError("missing '</think>'", pos)
+            steps.append(Thought(text[pos:end]))
+            pos = end + len("</think>")
+        elif tag == "<tool_call>":
+            call, pos = _parse_call(text, pos)
             steps.append(call)
-        elif r.match("<tool_response>"):
+        elif tag == "<tool_response>":
             if not steps or not isinstance(steps[-1], ToolCall):
                 raise OrderingError("tool_response without a preceding tool_call", start)
-            value = _parse_value(r)
-            r.skip_ws()
-            r.expect("</tool_response>")
-            steps.append(ToolResult(value))
-        elif r.match("<answer"):
-            r.skip_ws()
-            r.expect("format")
-            r.skip_ws()
-            r.expect("=")
-            r.skip_ws()
-            tag = r.ident()
-            r.skip_ws()
-            r.expect(">")
-            value = _parse_value(r)
-            r.skip_ws()
-            r.expect("</answer>")
+            item, pos, _ = _parse_item(text, _start(text, pos), 0)
+            pos = _scan(_RESPONSE_END, text, pos).end()
+            steps.append(ToolResult(_value(item)))
+        else:
+            head = _scan(_ANSWER_HEAD, text, pos)
+            item, pos, _ = _parse_item(text, _start(text, head.end()), 0)
+            pos = _scan(_ANSWER_END, text, pos).end()
             if not steps:
                 raise OrderingError("answer must follow at least one step", start)
-            steps.append(Answer(value, tag))
-            r.skip_ws()
-            if not r.eof():
-                raise OrderingError("content after the final answer", r.pos)
+            steps.append(Answer(_value(item), head[3]))
+            if pos != len(text):
+                raise OrderingError("content after the final answer", pos)
             return Trajectory(tuple(steps))
-        else:
-            raise TrajectorySyntaxError("expected a tagged block", r.pos)
 
 
 # ---------------------------------------------------------------------------
 # Renderer
 # ---------------------------------------------------------------------------
-
-_BLOCK_TAGS = ("</think>", "<think>", "<tool_call>", "<tool_response>", "<answer")
-
 
 def render_value(v: Value) -> str:
     if isinstance(v, Scalar):
@@ -557,8 +598,8 @@ def render_value(v: Value) -> str:
 
 def _render_step(s: Step) -> str:
     if isinstance(s, Thought):
-        if any(tag in s.text for tag in _BLOCK_TAGS):
-            raise ValueError("thought text may not contain block tags")
+        if "</think>" in s.text:  # the only tag that would end the block early
+            raise ValueError("thought text may not contain '</think>'")
         return f"<think>{s.text}</think>"
     if isinstance(s, ToolCall):
         args = ", ".join(f"{k}={render_value(v)}" for k, v in s.args)

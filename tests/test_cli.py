@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import tiger.generator
 from tiger.cli import main
 from tiger.generator import SceneParams, generate_scene
 from tiger.trajectory import Text, parse_trajectory
@@ -119,6 +120,23 @@ class TestGenerate:
         assert_one_error(capsys, f"bad config: count must be an integer >= 1, not {count!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [2.7, True, "3"])
+    def test_seed_not_an_integer_exits_one(self, tmp_path, capsys, seed):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(CONFIG, seed=seed)))
+        out = tmp_path / "x.jsonl"
+        code = main(["generate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert_one_error(capsys, f"bad config: seed must be an integer, not {seed!r}")
+        assert not out.exists()
+
+    def test_negative_seed_is_valid(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG, count=2, seed=-5)))
+        out = tmp_path / "x.jsonl"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["master_seed"] == -5
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"count": 2, "seed": "\xe9"}')
@@ -133,6 +151,29 @@ class TestGenerate:
         code = main(["generate", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert_one_error(capsys, f"cannot write {out}: ")
+
+    def test_unwritable_out_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(tiger.generator, "build_record", lambda *a: built.append(a))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(CONFIG))
+        out = tmp_path / "nodir" / "x.jsonl"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        assert built == []
+        assert_one_error(capsys, f"cannot write {out}: ")
+
+    def test_failed_run_keeps_existing_out(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise tiger.generator.GenerationError("no luck")
+
+        monkeypatch.setattr(tiger.generator, "build_record", fail)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(CONFIG))
+        out = tmp_path / "x.jsonl"
+        out.write_text("keep me\n")
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert out.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "x.jsonl"]
 
 
 class TestScore:
@@ -377,6 +418,25 @@ class TestScoreGroupCache:
         assert sum(c.name == "code_executor" for c in calls) == 8 * code
         assert all(json.loads(line)["composite"] == 1.0 for line in lines)
 
+    def test_group_parses_each_program_once(self, tmp_path, dataset, monkeypatch):
+        import tiger.minidsl
+
+        record = next(
+            r for r in map(json.loads, dataset.read_text().splitlines())
+            if "code_executor" in r["trajectory"]
+        )
+        parses = []
+        parse_program = tiger.minidsl.parse_program
+        monkeypatch.setattr(
+            tiger.minidsl, "parse_program",
+            lambda source, known=(): parses.append(source) or parse_program(source, known),
+        )
+        lines = _score_lines(tmp_path / "c.jsonl", dataset, [(record["id"], record["trajectory"])] * 8)
+        programs = [c.arg("program").text for c in parse_trajectory(record["trajectory"]).calls
+                    if c.name == "code_executor"]
+        assert parses == programs
+        assert all(json.loads(line)["composite"] == 1.0 for line in lines)
+
     def test_each_candidate_binds_its_own_results(self, tmp_path, dataset):
         record = json.loads(dataset.read_text().splitlines()[0])
         group = [(record["id"], record["trajectory"]), (record["id"], LEAKY_CODE)]
@@ -452,6 +512,20 @@ class TestRun:
         code = main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)])
         assert code == 0
         assert "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]" in capsys.readouterr().out
+
+    def test_thought_holding_a_block_tag_survives(self, tmp_path, capsys):
+        scene = generate_scene(SceneParams(object_count=(1, 1), view_count=(1, 1)), 3)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene.to_json())
+        thought = "<think>first <tool_call> then <answer format=x></think>"
+        traj_path = tmp_path / "traj.txt"
+        traj_path.write_text(
+            thought + "<tool_call>camera_extrinsics(view=0)</tool_call>"
+            "<answer format=scalar>0</answer>"
+        )
+        code = main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(thought + "\n<tool_call>")
 
     def test_unknown_tool_exits_three(self, tmp_path, capsys):
         scene = generate_scene(SceneParams(object_count=(1, 1), view_count=(1, 1)), 3)

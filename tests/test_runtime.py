@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tiger.minidsl
 import tiger.runtime
 from tiger.generator import SceneParams, generate_scene
 from tiger.geometry import (
@@ -33,6 +34,7 @@ from tiger.runtime import (
     execute_tool,
     run_trajectory,
 )
+from tiger.minidsl import DslSyntaxError, UnboundIdentifier
 from tiger.scene import ObjectNode, Scene, UnknownView
 from tiger.trajectory import (
     Box2Value,
@@ -468,6 +470,19 @@ class TestProjectionTool:
             assert np.linalg.norm(world - surface) < 1e-6
 
 
+def count_parses(monkeypatch):
+    """Patch minidsl.parse_program to record the sources it parses."""
+    parses = []
+    real = tiger.minidsl.parse_program
+
+    def counting(source, known=()):
+        parses.append(source)
+        return real(source, known)
+
+    monkeypatch.setattr(tiger.minidsl, "parse_program", counting)
+    return parses
+
+
 class TestCodeExecutor:
     def test_uses_bindings(self, ctx):
         ctx.bindings["r1"] = ObbValue(OrientedBox3((0, 0, 0), (0.5, 0.5, 0.5), 0.0))
@@ -498,6 +513,34 @@ class TestCodeExecutor:
 
         with pytest.raises(DivisionByZero):
             execute_tool(ctx, call("code_executor", program=Text("1/0")))
+
+    def test_program_is_parsed_once_per_cache(self, ctx, monkeypatch):
+        parses = count_parses(monkeypatch)
+        double = call("code_executor", program=Text("2 * r1"), uses=ValueList((Text("r1"),)))
+        for x in (1.5, 4.0):  # the result follows the bindings
+            ctx.bindings["r1"] = Scalar(x)
+            assert execute_tool(ctx, double) == Scalar(2 * x)
+        assert parses == ["2 * r1"]
+        execute_tool(ExecutionContext(ctx.scene, "oracle", dict(ctx.bindings)), double)
+        assert parses == ["2 * r1"] * 2
+
+    def test_known_names_are_part_of_the_key(self, ctx, monkeypatch):
+        parses = count_parses(monkeypatch)
+        ctx.bindings.update(r1=Scalar(1.0), r2=Scalar(2.0))
+        both = ValueList((Text("r1"), Text("r2")))
+        assert execute_tool(ctx, call("code_executor", program=Text("r2"), uses=both)) == Scalar(2.0)
+        narrow = call("code_executor", program=Text("r2"), uses=ValueList((Text("r1"),)))
+        with pytest.raises(UnboundIdentifier):
+            execute_tool(ctx, narrow)
+        assert len(parses) == 2
+
+    def test_parse_errors_are_not_cached(self, ctx, monkeypatch):
+        parses = count_parses(monkeypatch)
+        broken = call("code_executor", program=Text("1 +"))
+        for _ in range(2):
+            with pytest.raises(DslSyntaxError):
+                execute_tool(ctx, broken)
+        assert parses == ["1 +"] * 2 and ctx.cache == {}
 
     def test_overflowing_result_is_a_tool_error(self, ctx):
         from tiger.runtime import ToolError

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiger.geometry import Box2, OrientedBox3
@@ -277,13 +277,16 @@ class TestParserTotality:
 
     @settings(max_examples=2000, deadline=None)
     @given(st.binary(max_size=80))
+    @example(b"<think>a <tool_call> b</think><answer format=scalar>1</answer>")
     def test_arbitrary_bytes_never_crash(self, blob):
         text = blob.decode("latin-1")
         try:
-            parse_trajectory(text)
+            t = parse_trajectory(text)
         except TrajectoryError as exc:
             assert isinstance(exc.offset, int)
             assert 0 <= exc.offset <= len(text)
+        else:
+            assert parse_trajectory(render_trajectory(t)) == t
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -292,8 +295,88 @@ class TestParserTotality:
             max_size=120,
         )
     )
+    @example("<think><think><tool_response><answer</think><answer format=text>\"\"</answer>")
     def test_tag_like_text_never_crashes(self, text):
         try:
-            parse_trajectory(text)
+            t = parse_trajectory(text)
         except TrajectoryError as exc:
             assert 0 <= exc.offset <= len(text)
+        else:
+            assert parse_trajectory(render_trajectory(t)) == t
+
+
+# Every raise site of the parser: (parser, text with "|" at the error offset,
+# exception class, message).  Error text reaches `error:` lines, so all
+# three are part of the contract.
+T = "<think>t</think>"
+CALL = T + "<tool_call>f("
+TAIL = ")</tool_call><answer format=scalar>1</answer>"
+RESPONSE = T + "<tool_call>f()</tool_call><tool_response>"
+RAISE_SITES = [
+    (parse_trajectory, "|", OrderingError, "missing final answer"),
+    (parse_trajectory, "<think>x</think>  |", OrderingError, "missing final answer"),
+    (parse_trajectory, "<think>x</think>|garbage", TrajectorySyntaxError, "expected a tagged block"),
+    (parse_trajectory, "<think>|never closed", TrajectorySyntaxError, "missing '</think>'"),
+    (parse_trajectory, T + "<tool_call> |(x=1)", TrajectorySyntaxError, "expected identifier"),
+    (parse_trajectory, T + "<tool_call>f |x=1)", TrajectorySyntaxError, "expected '('"),
+    (parse_trajectory, CALL + "|=1" + TAIL, TrajectorySyntaxError, "expected identifier"),
+    (parse_trajectory, CALL + "x |1" + TAIL, TrajectorySyntaxError, "expected '='"),
+    (parse_trajectory, CALL + "x=|" + TAIL, TrajectorySyntaxError, "expected value"),
+    (parse_trajectory, CALL + "x=1 |y=2" + TAIL, TrajectorySyntaxError, "expected ','"),
+    (parse_trajectory, T + "<tool_call>f() |</tool_call >", TrajectorySyntaxError,
+     "expected '</tool_call>'"),
+    (parse_trajectory, "|<tool_response>1</tool_response>", OrderingError,
+     "tool_response without a preceding tool_call"),
+    (parse_trajectory, RESPONSE + "|@</tool_response>", TrajectorySyntaxError, "expected value"),
+    (parse_trajectory, RESPONSE + "1 |2</tool_response>", TrajectorySyntaxError,
+     "expected '</tool_response>'"),
+    (parse_trajectory, T + "<answer |scalar>1</answer>", TrajectorySyntaxError, "expected 'format'"),
+    (parse_trajectory, T + "<answer format |scalar>1</answer>", TrajectorySyntaxError, "expected '='"),
+    (parse_trajectory, T + "<answer format= |>1</answer>", TrajectorySyntaxError, "expected identifier"),
+    (parse_trajectory, T + "<answer format=scalar |1</answer>", TrajectorySyntaxError, "expected '>'"),
+    (parse_trajectory, T + "<answer format=scalar>1|</answr>", TrajectorySyntaxError,
+     "expected '</answer>'"),
+    (parse_trajectory, "|<answer format=scalar>1</answer>", OrderingError,
+     "answer must follow at least one step"),
+    (parse_trajectory, T + "<answer format=scalar>1</answer> |x", OrderingError,
+     "content after the final answer"),
+    (parse_value, "( |x, 1)", TrajectorySyntaxError, "expected number"),
+    (parse_value, "(1, |x)", TrajectorySyntaxError, "expected number"),
+    (parse_value, "(1, 2,|)", TrajectorySyntaxError, "expected number"),
+    (parse_value, "1e999|m", TrajectorySyntaxError, "number out of range"),
+    (parse_value, "(1, 1e999|)", TrajectorySyntaxError, "number out of range"),
+    (parse_value, "(1 |2)", TrajectorySyntaxError, "expected ','"),
+    (parse_value, "(1|m, 2)", TrajectorySyntaxError, "expected ','"),
+    (parse_value, "(1, 2, 3, 4)|", TrajectorySyntaxError, "point tuples have 2 or 3 components"),
+    (parse_value, "px(1, 2, 3)|", TrajectorySyntaxError, "px(...) takes two components"),
+    (parse_value, "box(1, 2, 3|)", TrajectorySyntaxError, "expected ','"),
+    (parse_value, "box(1, 2, 3, 4|, 5)", TrajectorySyntaxError, "expected ')'"),
+    (parse_value, "box(3, 2, 1, 4)|", TrajectorySyntaxError, "box must have positive extent"),
+    (parse_value, "obb(|centre=(1, 2, 3), half=(1, 1, 1), yaw=0)", TrajectorySyntaxError,
+     "expected 'center'"),
+    (parse_value, "obb(center=(1, 2)|, half=(1, 1, 1), yaw=0)", TrajectorySyntaxError,
+     "center must be a 3-tuple"),
+    (parse_value, "obb(center=(1, 2, 3), half=(1, 1)|, yaw=0)", TrajectorySyntaxError,
+     "half must be a 3-tuple"),
+    (parse_value, "obb(center=(1, 2, 3), half=(1, 1, 1) |yaw=0)", TrajectorySyntaxError,
+     "expected ','"),
+    (parse_value, "obb(center=(1, 2, 3), half=(1, 1, 1), yaw=0|, 1)", TrajectorySyntaxError,
+     "expected ')'"),
+    (parse_value, "obb(center=(1, 2, 3), half=(1, 0, 1), yaw=0)|", TrajectorySyntaxError,
+     "half extents must be positive"),
+    (parse_value, '"abc|', TrajectorySyntaxError, "unterminated string"),
+    (parse_value, '"abc\\|', TrajectorySyntaxError, "unterminated escape"),
+    (parse_value, '"a\\|qb"', TrajectorySyntaxError, "bad escape \\q"),
+    (parse_value, "[" * 33 + "|" + "]" * 33, TrajectorySyntaxError, "value nesting too deep"),
+    (parse_value, "[1, 2 |3]", TrajectorySyntaxError, "expected ','"),
+    (parse_value, "[1, 2] |3", TrajectorySyntaxError, "trailing characters after value"),
+]
+
+
+@pytest.mark.parametrize("parse,marked,error,message", RAISE_SITES)
+def test_raise_site_class_message_offset(parse, marked, error, message):
+    offset = marked.index("|")
+    with pytest.raises(TrajectoryError) as info:
+        parse(marked.replace("|", "", 1))
+    assert type(info.value) is error
+    assert (str(info.value), info.value.offset) == (f"{message} (offset {offset})", offset)
