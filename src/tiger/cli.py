@@ -14,12 +14,11 @@ import math
 import sys
 import time
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 
 from . import generator, minidsl
 from .generator import GenerationError, PlacementFailure, SceneParams, generate_dataset
 from .rewards import RewardConfig, evaluate_delta2, check_interval, score_trajectory
-from .runtime import ExecutionContext, TrajectoryRunError, run_trajectory
+from .runtime import ExecutionContext, ToolError, TrajectoryRunError, run_trajectory
 from .scene import Scene, SceneError
 from .trajectory import (
     parse_trajectory,
@@ -27,22 +26,6 @@ from .trajectory import (
     render_trajectory,
     render_value,
 )
-
-
-@dataclass
-class RunReport:
-    """Per-sample reward rows plus aggregate means and failures."""
-
-    rows: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
-
-    @property
-    def aggregates(self) -> dict:
-        keys = ("r_format", "r_tool", "r_param", "r_code", "r_answer", "composite")
-        if not self.rows:
-            return {k: 0.0 for k in keys}
-        return {k: math.fsum(r[k] for r in self.rows) / len(self.rows) for k in keys}
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -158,7 +141,7 @@ def cmd_score(args) -> int:
     parsed = {}
     # the tool cache of the current run of consecutive candidates for one id
     cache, cache_id = {}, None
-    report = RunReport()
+    rows = []
     unmatched = []
     for number, cand in candidates:
         if not isinstance(cand, dict):
@@ -185,24 +168,14 @@ def cmd_score(args) -> int:
         if sample_id != cache_id:
             cache, cache_id = {}, sample_id
         breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg, cache=cache)
-        row = {"id": sample_id, **breakdown.to_dict()}
-        report.rows.append(row)
-        for diag in breakdown.diagnostics:
-            if diag["error"] is not None:
-                report.failures.append(
-                    {
-                        "id": sample_id,
-                        "step_index": diag["step_index"],
-                        "error": diag["error"],
-                    }
-                )
-    report.seconds = time.monotonic() - started
+        rows.append({"id": sample_id, **breakdown.to_dict()})
+    seconds = time.monotonic() - started
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else None
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}")
     try:
-        for row in report.rows:
+        for row in rows:
             line = json.dumps(row)
             if out:
                 out.write(line + "\n")
@@ -211,15 +184,17 @@ def cmd_score(args) -> int:
     finally:
         if out:
             out.close()
-    agg = report.aggregates
-    print(f"scored {len(report.rows)} candidates in {report.seconds:.2f}s", file=sys.stderr)
-    for key, value in agg.items():
-        print(f"  mean {key}: {value:.6f}", file=sys.stderr)
-    for failure in report.failures:
-        print(
-            f"  id {failure['id']} failed at step {failure['step_index']}: {failure['error']}",
-            file=sys.stderr,
-        )
+    print(f"scored {len(rows)} candidates in {seconds:.2f}s", file=sys.stderr)
+    for key in ("r_format", "r_tool", "r_param", "r_code", "r_answer", "composite"):
+        mean = math.fsum(row[key] for row in rows) / len(rows) if rows else 0.0
+        print(f"  mean {key}: {mean:.6f}", file=sys.stderr)
+    for row in rows:
+        for diag in row["diagnostics"]:
+            if diag["error"] is not None:
+                print(
+                    f"  id {row['id']} failed at step {diag['step_index']}: {diag['error']}",
+                    file=sys.stderr,
+                )
     if unmatched:
         print(f"  unmatched candidate ids: {unmatched}", file=sys.stderr)
     return 0
@@ -332,13 +307,13 @@ def cmd_dsl(args) -> int:
                 bindings[name] = _to_dsl(parse_value(text))
         except (OSError, ValueError) as exc:
             return _fail(f"bad bindings: {exc}")
-    try:
-        result = minidsl.run(source, bindings)
-    except minidsl.DslError as exc:
-        return _fail(str(exc))
     from .runtime import _from_dsl
 
-    print(render_value(_from_dsl(result)))
+    try:
+        value = _from_dsl(minidsl.run(source, bindings))
+    except (minidsl.DslError, ToolError) as exc:
+        return _fail(str(exc))
+    print(render_value(value))
     return 0
 
 

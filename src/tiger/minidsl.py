@@ -325,7 +325,7 @@ def _obb(x) -> OrientedBox3:
 
 def _index(x) -> int:
     v = _num(x)
-    if v != int(v):
+    if not v.is_integer():  # False for inf and nan too
         raise TypeMismatch("index must be integral")
     return int(v)
 
@@ -384,6 +384,8 @@ def _b_argmin(x):
 
 def _intrinsics_from_vec(v) -> CameraIntrinsics:
     data = _vec(v, 6)
+    if not np.all(np.isfinite(data[4:])):
+        raise TypeMismatch("bad intrinsics vector: width and height must be finite")
     try:
         return CameraIntrinsics(
             fx=float(data[0]),
@@ -432,6 +434,8 @@ def _b_vec(*args):
 
 def _b_rotz(theta):
     t = _num(theta)
+    if math.isinf(t):  # a nan angle evaluates, to a nan matrix
+        raise DomainError("rotz of an infinite angle")
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -47,6 +48,16 @@ class NonPositiveGroundTruth(ValueError):
     pass
 
 
+def _require_finite(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number other than a bool."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number; an int beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
 @dataclass
 class RewardConfig:
     """Weights and scales for the composite reward; loadable from JSON."""
@@ -62,6 +73,14 @@ class RewardConfig:
     def __post_init__(self):
         if set(self.weights) != set(REWARD_KEYS):
             raise ValueError(f"weights must have exactly the keys {REWARD_KEYS}")
+        numbers = [(f"weights[{k!r}]", w) for k, w in self.weights.items()] + [
+            (name, getattr(self, name))
+            for name in ("alpha", "gamma", "lambda_exec", "lambda_out", "code_output_tol")
+        ]
+        for name, value in numbers:
+            _require_finite(name, value)
+        if self.code_output_tol < 0:
+            raise ValueError("code_output_tol must be non-negative")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be non-negative")
         if abs(math.fsum(self.weights.values()) - 1.0) > 1e-9:
@@ -179,14 +198,22 @@ def _flatten(v: Value):
     return None
 
 
-def _continuous_score(pred: Value, gt: Value, scale: float) -> float:
-    if _signature(pred) != _signature(gt):
-        return 0.0
+def _distance(pred: Value, gt: Value):
+    """L2 distance between two numeric payloads of one size, else None."""
     a = _flatten(pred)
     b = _flatten(gt)
-    if a is None or b is None:  # non-numeric payloads fall back to exact match
+    if a is None or b is None or a.shape != b.shape:
+        return None
+    return float(np.linalg.norm(a - b))
+
+
+def _continuous_score(pred: Value, gt: Value, scale: float, distance: float | None) -> float:
+    """exp(-scale * distance) for values of one signature; distance is _distance(pred, gt)."""
+    if _signature(pred) != _signature(gt):
+        return 0.0
+    if distance is None:  # non-numeric payloads fall back to exact match
         return 1.0 if pred == gt else 0.0
-    return math.exp(-scale * float(np.linalg.norm(a - b)))
+    return math.exp(-scale * distance)
 
 
 def _values_close(pred: Value, gt: Value, tol: float) -> bool:
@@ -208,6 +235,15 @@ def score_format(t: Trajectory) -> float:
     return 1.0 if validate_format(t) else 0.0
 
 
+def _tool_score(schema_ok: list, gt_has_calls: bool, cfg: RewardConfig) -> float:
+    if not schema_ok:
+        return 0.0 if gt_has_calls else 1.0
+    per_call = [1.0 if ok else 0.0 for ok in schema_ok]
+    if cfg.tool_mode == "product":
+        return math.prod(per_call)
+    return math.fsum(per_call) / len(per_call)
+
+
 def score_tool(t: Trajectory, gt: Trajectory | None = None, cfg: RewardConfig | None = None) -> float:
     """Per-call product of name-registered and schema-valid indicators.
 
@@ -215,23 +251,26 @@ def score_tool(t: Trajectory, gt: Trajectory | None = None, cfg: RewardConfig | 
     bad call.  A call-free trajectory scores 1 only when the ground truth is
     also call-free.
     """
-    cfg = cfg or RewardConfig()
-    calls = t.calls
-    if not calls:
-        if gt is None or not gt.calls:
-            return 1.0
-        return 0.0
-    per_call = [1.0 if check_call(c) is None else 0.0 for c in calls]
-    if cfg.tool_mode == "product":
-        return math.prod(per_call)
-    return math.fsum(per_call) / len(per_call)
+    schema_ok = [check_call(c) is None for c in t.calls]
+    return _tool_score(schema_ok, gt is not None and bool(gt.calls), cfg or RewardConfig())
 
 
-def _calls_by_name(t: Trajectory):
-    groups = {}
-    for call in t.calls:
-        groups.setdefault(call.name, []).append(call)
-    return groups
+def _align(pred_calls, gt_calls) -> list:
+    """Pair the k-th call of each tool name with the k-th ground-truth call of that name.
+
+    Returns (name, k, pred index or None, gt index or None) for every k of
+    every name either side calls: the ground truth's names in order of first
+    appearance, then the candidate's other names, k ascending within a name.
+    """
+    indices = {}
+    for side, calls in ((1, gt_calls), (0, pred_calls)):
+        for i, call in enumerate(calls):
+            indices.setdefault(call.name, ([], []))[side].append(i)
+    return [
+        (name, k, p, g)
+        for name, (pred_indices, gt_indices) in indices.items()
+        for k, (p, g) in enumerate(zip_longest(pred_indices, gt_indices))
+    ]
 
 
 def _is_discrete_param(tool: str, name: str) -> bool:
@@ -242,74 +281,77 @@ def _is_discrete_param(tool: str, name: str) -> bool:
     return True if param is None else param.discrete
 
 
+def _param_scores(pred_calls, gt_calls, pairs, alpha: float):
+    """The parameter reward, and the param_distance of each matched candidate call.
+
+    Every argument of a ground-truth call counts once: a discrete one scores
+    exact match, a continuous one exp(-alpha * L2), a missing one 0.  A
+    call's distance, keyed by its index, sums the L2 of its continuous
+    arguments whose payloads agree in size; a call with none has no entry.
+    """
+    total = 0.0
+    count = 0
+    distances = {}
+    for name, _k, p, g in pairs:
+        if g is None:
+            continue
+        deltas = []
+        for key, gval in gt_calls[g].args:
+            count += 1
+            pval = None if p is None else pred_calls[p].arg(key)
+            if pval is None:
+                continue
+            if _is_discrete_param(name, key):
+                total += 1.0 if pval == gval else 0.0
+                continue
+            distance = _distance(pval, gval)
+            if distance is not None:
+                deltas.append(distance)
+            total += _continuous_score(pval, gval, alpha, distance)
+        if deltas:
+            distances[p] = math.fsum(deltas)
+    return (total / count if count else 1.0), distances
+
+
 def score_param(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None) -> float:
     """Mean per-parameter accuracy against order-aligned ground-truth calls."""
     cfg = cfg or RewardConfig()
-    pred_groups = _calls_by_name(t)
-    total = 0.0
-    count = 0
-    for name, gt_calls in _calls_by_name(gt).items():
-        pred_calls = pred_groups.get(name, [])
-        for k, gcall in enumerate(gt_calls):
-            pcall = pred_calls[k] if k < len(pred_calls) else None
-            for key, gval in gcall.args:
-                count += 1
-                if pcall is None:
-                    continue
-                pval = pcall.arg(key)
-                if pval is None:
-                    continue
-                if _is_discrete_param(name, key):
-                    total += 1.0 if pval == gval else 0.0
-                else:
-                    total += _continuous_score(pval, gval, cfg.alpha)
-    if count == 0:
-        return 1.0
-    return total / count
+    pred_calls, gt_calls = t.calls, gt.calls
+    return _param_scores(pred_calls, gt_calls, _align(pred_calls, gt_calls), cfg.alpha)[0]
 
 
-def _stored_results(t: Trajectory):
-    """The ToolResult value following each call, aligned by call order."""
-    results = []
-    steps = t.steps
-    for i, step in enumerate(steps):
-        if isinstance(step, ToolCall):
-            nxt = steps[i + 1] if i + 1 < len(steps) else None
-            results.append(nxt.value if isinstance(nxt, ToolResult) else None)
-    return results
+def _call_steps(t: Trajectory) -> list:
+    """The step index of each of t's calls."""
+    return [i for i, step in enumerate(t.steps) if isinstance(step, ToolCall)]
 
 
-def _code_score(t: Trajectory, gt: Trajectory, values, cfg: RewardConfig) -> float:
+def _code_score(pairs, values, gt: Trajectory, gt_steps, cfg: RewardConfig) -> float:
     """Execution and output-correctness score for code_executor calls.
 
-    `values` holds the executed result of each of t's calls (None where it
-    failed); each code call is compared to the order-aligned ground-truth
-    code result within the configured tolerance.
+    `values` holds the executed result of each candidate call (None where it
+    failed); each code call is compared, within the configured tolerance, to
+    the result stored after its paired ground-truth call (gt_steps holds the
+    step index of each ground-truth call).
     """
-    gt_results = _stored_results(gt)
-    gt_code = [
-        gt_results[i]
-        for i, call in enumerate(gt.calls)
-        if call.name == "code_executor"
-    ]
-    pred_code = [
-        values[i] for i, call in enumerate(t.calls) if call.name == "code_executor"
-    ]
-    if not gt_code and not pred_code:
+    code = [(p, g) for name, _k, p, g in pairs if name == "code_executor"]
+    if not code:
         return 1.0
-    n = max(len(gt_code), len(pred_code))
     total = 0.0
-    for k in range(min(len(gt_code), len(pred_code))):
-        value = pred_code[k]
+    for p, g in code:
+        if p is None or g is None:
+            continue
+        value = values[p]
         executed = value is not None
+        after = gt_steps[g] + 1
+        stored = gt.steps[after] if after < len(gt.steps) else None
         correct = (
             executed
-            and gt_code[k] is not None
-            and _values_close(value, gt_code[k], cfg.code_output_tol)
+            and isinstance(stored, ToolResult)
+            and _values_close(value, stored.value, cfg.code_output_tol)
         )
         total += cfg.lambda_exec * (1.0 if executed else 0.0)
         total += cfg.lambda_out * (1.0 if correct else 0.0)
-    return total / n
+    return total / len(code)
 
 
 def score_answer(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None) -> float:
@@ -320,7 +362,7 @@ def score_answer(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None)
         return 0.0
     if pa.format in _DISCRETE_FORMATS:
         return 1.0 if pa.value == ga.value else 0.0
-    return _continuous_score(pa.value, ga.value, cfg.gamma)
+    return _continuous_score(pa.value, ga.value, cfg.gamma, _distance(pa.value, ga.value))
 
 
 def composite_reward(parts: dict, cfg: RewardConfig | None = None) -> float:
@@ -350,51 +392,32 @@ def score_trajectory(
     """
     cfg = cfg or RewardConfig()
     ctx = ExecutionContext(scene, mode, cache={} if cache is None else cache)
+    pred_calls, gt_calls = pred.calls, gt.calls
+    pairs = _align(pred_calls, gt_calls)
+    schema_ok = [check_call(call) is None for call in pred_calls]
+    r_param, distances = _param_scores(pred_calls, gt_calls, pairs, cfg.alpha)
     # every call runs; a failure cascades through the binding it leaves out
-    outcomes = list(execute_calls(ctx, pred.calls))
-    values = [value for value, _ in outcomes]
-    errors = [error for _, error in outcomes]
+    outcomes = list(execute_calls(ctx, pred_calls))
     parts = {
         "format": score_format(pred),
-        "tool": score_tool(pred, gt, cfg),
-        "param": score_param(pred, gt, cfg),
-        "code": _code_score(pred, gt, values, cfg),
+        "tool": _tool_score(schema_ok, bool(gt_calls), cfg),
+        "param": r_param,
+        "code": _code_score(pairs, [value for value, _ in outcomes], gt, _call_steps(gt), cfg),
         "answer": score_answer(pred, gt, cfg),
     }
-    call_steps = [
-        i for i, step in enumerate(pred.steps) if isinstance(step, ToolCall)
+    matched = {p: (name, k) for name, k, p, g in pairs if p is not None and g is not None}
+    pred_steps = _call_steps(pred)
+    diagnostics = [
+        {
+            "tool": call.name,
+            "step_index": pred_steps[i],
+            "schema_ok": schema_ok[i],
+            "matched_gt_call": matched.get(i),
+            "param_distance": distances.get(i),
+            "error": None if error is None else str(error),
+        }
+        for i, (call, (_, error)) in enumerate(zip(pred_calls, outcomes))
     ]
-    diagnostics = []
-    gt_groups = _calls_by_name(gt)
-    seen = {}
-    for idx, call in enumerate(pred.calls):
-        k = seen.get(call.name, 0)
-        seen[call.name] = k + 1
-        gt_calls = gt_groups.get(call.name, [])
-        matched = k < len(gt_calls)
-        distance = None
-        if matched:
-            gcall = gt_calls[k]
-            deltas = []
-            for key, gval in gcall.args:
-                pval = call.arg(key)
-                if pval is None or _is_discrete_param(call.name, key):
-                    continue
-                a, b = _flatten(pval), _flatten(gval)
-                if a is not None and b is not None and a.shape == b.shape:
-                    deltas.append(float(np.linalg.norm(a - b)))
-            if deltas:
-                distance = math.fsum(deltas)
-        diagnostics.append(
-            {
-                "tool": call.name,
-                "step_index": call_steps[idx],
-                "schema_ok": check_call(call) is None,
-                "matched_gt_call": (call.name, k) if matched else None,
-                "param_distance": distance,
-                "error": str(errors[idx]) if errors[idx] is not None else None,
-            }
-        )
     return RewardBreakdown(
         r_format=parts["format"],
         r_tool=parts["tool"],

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -319,7 +320,23 @@ class TestScore:
         assert len(rows) == 8 and all(row["composite"] == 1.0 for row in rows)
 
     @pytest.mark.parametrize(
-        "doc", [[], {"weights": [0.1, 0.2, 0.2, 0.2, 0.3]}], ids=["array", "weights_array"]
+        "doc",
+        [
+            [],
+            {"weights": [0.1, 0.2, 0.2, 0.2, 0.3]},
+            {"code_output_tol": "x"},
+            {"code_output_tol": -1e-6},
+            {"code_output_tol": math.inf},
+            {"alpha": math.inf},
+            {"gamma": math.inf},
+            {"lambda_exec": math.nan},
+            {"alpha": True},
+            {"weights": {"format": math.nan, "tool": 0.2, "param": 0.2, "code": 0.2, "answer": 0.3}},
+        ],
+        ids=[
+            "array", "weights_array", "tol_string", "tol_negative", "tol_infinity", "alpha_infinity",
+            "gamma_infinity", "lambda_exec_nan", "alpha_bool", "weight_nan",
+        ],
     )
     def test_reward_config_of_wrong_shape_exits_one(self, tmp_path, dataset, capsys, doc):
         record = json.loads(dataset.read_text().splitlines()[0])
@@ -332,7 +349,7 @@ class TestScore:
              "--reward-config", str(reward_config)]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: bad reward config: ")
+        assert_one_error(capsys, "bad reward config: ")
 
     def test_unmatched_ids_reported(self, tmp_path, dataset, capsys):
         record = json.loads(dataset.read_text().splitlines()[0])
@@ -400,6 +417,33 @@ LEAKY_CODE = (
     '<think>x</think><tool_call>code_executor(program="2 * vec_get(obb_half(r1), 2)")'
     "</tool_call><answer format=scalar>0m</answer>"
 )
+
+
+# a program whose index overflows to infinity
+OVERFLOWING_CODE = (
+    '<think>x</think><tool_call>code_executor(program="vec_get(vec(1, 2), 1e308 * 10)")'
+    "</tool_call><answer format=scalar>0m</answer>"
+)
+
+
+def test_score_reports_a_non_finite_program_as_a_call_error(tmp_path, dataset, capsys):
+    record = json.loads(dataset.read_text().splitlines()[0])
+    group = [(record["id"], OVERFLOWING_CODE), (record["id"], record["trajectory"])]
+    failed, perfect = map(json.loads, _score_lines(tmp_path / "c.jsonl", dataset, group))
+    assert [d["error"] for d in failed["diagnostics"]] == ["index must be integral"]
+    assert perfect["composite"] == 1.0
+    assert "failed at step 1: index must be integral" in capsys.readouterr().err
+
+
+def test_run_of_a_non_finite_program_exits_three(tmp_path, dataset, capsys):
+    record = json.loads(dataset.read_text().splitlines()[0])
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(record["scene"]))
+    traj_path = tmp_path / "traj.txt"
+    traj_path.write_text(OVERFLOWING_CODE)
+    code = main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)])
+    assert code == 3
+    assert_one_error(capsys, "step 1: ")
 
 
 class TestScoreGroupCache:
@@ -671,6 +715,10 @@ class TestDsl:
 
     def test_error_exits_one(self, capsys):
         assert main(["dsl", "--program", "1/0"]) == 1
+
+    def test_unrepresentable_result_exits_one(self, capsys):
+        assert main(["dsl", "--program", "norm(vec(1e308, 1e308))"]) == 1
+        assert_one_error(capsys, "program result is not representable: ")
 
     @pytest.mark.parametrize("doc", [["a"], {"a": 5}], ids=["array", "number_value"])
     def test_bindings_of_wrong_shape_exit_one(self, tmp_path, capsys, doc):

@@ -9,6 +9,7 @@ from tiger.minidsl import (
     BUILTINS,
     DivisionByZero,
     DomainError,
+    DslError,
     DslSyntaxError,
     EvalLimits,
     LimitExceeded,
@@ -172,6 +173,32 @@ class TestEvaluation:
         program = parse_program("x + 1", known=("x",))
         with pytest.raises(UnboundIdentifier):
             evaluate(program, {})
+
+
+# programs whose numbers overflow to infinity or nan where a builtin needs a
+# finite one; each must fail as a DslError, which a tool call reports
+NON_FINITE_PROGRAMS = {
+    "vec_get_inf": "vec_get(vec(1, 2), 1e308 * 10)",
+    "vec_get_nan": "vec_get(vec(1, 2), 1e308 * 10 - 1e308 * 10)",
+    "mat_get_inf": "mat_get([[1, 2], [3, 4]], 0, 1e308 * 10)",
+    "mat_get_nan": "mat_get([[1, 2], [3, 4]], 1e308 * 10 - 1e308 * 10, 0)",
+    "rotz_inf": "rotz(1e308 * 10)",
+    "rotz_minus_inf": "rotz(-1e308 * 10)",
+    "project_point_inf_width": "project_point(vec(0, 0, 1), [500, 500, 320, 240, 1e308 * 10, 480], "
+    "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])",
+    "unproject_point_nan_height": "unproject_point(vec(0.5, 0.5), 2, "
+    "[500, 500, 320, 240, 640, 1e308 * 10 - 1e308 * 10])",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PROGRAMS))
+def test_non_finite_arguments_raise_dsl_errors(case):
+    with pytest.raises(DslError):
+        run(NON_FINITE_PROGRAMS[case])
+
+
+def test_nan_angle_still_evaluates():
+    assert run("sign(mat_get(rotz(1e308 * 10 - 1e308 * 10), 0, 0))") == 0.0
 
 
 class TestSandbox:

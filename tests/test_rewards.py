@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -251,6 +252,135 @@ class TestComposite:
         path.write_text(json.dumps(cfg.to_dict()))
         loaded = RewardConfig.from_file(path)
         assert loaded == cfg
+
+
+def call(text, response=None):
+    """One tool call step, followed by its stored result when given."""
+    step = f"<tool_call>{text}</tool_call>"
+    return step if response is None else step + f"<tool_response>{response}</tool_response>"
+
+
+def row(tool, step, schema_ok=True, matched=None, distance=None, error=None):
+    return {
+        "tool": tool,
+        "step_index": step,
+        "schema_ok": schema_ok,
+        "matched_gt_call": matched,
+        "param_distance": distance,
+        "error": error,
+    }
+
+
+BOX_GT = "box_2d_to_box_3d(view=0, box=box(200, 200, 440, 300))"
+
+# (ground-truth body, candidate body, diagnostics as the report writes them,
+#  r_tool, r_param, r_code); the k-th call of a name pairs with the k-th
+# ground-truth call of that name
+DIAGNOSTIC_CASES = {
+    "matched_surplus_and_missing": (
+        call("camera_extrinsics(view=0)")
+        + call("point_3d_to_point_2d(view=0, point=(0, 0, 2))")
+        + call("point_3d_to_point_2d(view=0, point=(1, 0, 2))"),
+        call("point_3d_to_point_2d(view=0, point=(0.5, 0, 2))")
+        + call("camera_intrinsics(view=0)")
+        + call("camera_extrinsics(view=0)")
+        + call("camera_extrinsics(view=0)"),
+        [
+            row("point_3d_to_point_2d", 1, matched=["point_3d_to_point_2d", 0], distance=0.5),
+            row("camera_intrinsics", 2),
+            row("camera_extrinsics", 3, matched=["camera_extrinsics", 0]),
+            row("camera_extrinsics", 4),
+        ],
+        1.0,
+        (1.0 + 1.0 + math.exp(-2.5)) / 5,
+        1.0,
+    ),
+    "unknown_tool": (
+        call("camera_intrinsics(view=0)"),
+        call("warp_drive(view=0)") + call("camera_intrinsics(view=0)"),
+        [
+            row("warp_drive", 1, schema_ok=False, error="unknown tool 'warp_drive'"),
+            row("camera_intrinsics", 2, matched=["camera_intrinsics", 0]),
+        ],
+        0.5,
+        1.0,
+        1.0,
+    ),
+    "interleaved_names": (
+        call("camera_extrinsics(view=0)") + call(BOX_GT) + call("camera_extrinsics(view=1)"),
+        call("box_2d_to_box_3d(view=0, box=box(200, 200, 440, 299.625))")
+        + call("camera_extrinsics(view=0)")
+        + call("camera_extrinsics(view=1)")
+        + call(BOX_GT),
+        [
+            row("box_2d_to_box_3d", 1, matched=["box_2d_to_box_3d", 0], distance=0.375),
+            row("camera_extrinsics", 2, matched=["camera_extrinsics", 0]),
+            row("camera_extrinsics", 3, matched=["camera_extrinsics", 1]),
+            row("box_2d_to_box_3d", 4),
+        ],
+        1.0,
+        # summed in the ground truth's name order; the candidate's order
+        # (1 + e + 1 + 1) rounds to a different last bit
+        (1.0 + 1.0 + 1.0 + math.exp(-1.875)) / 4,
+        1.0,
+    ),
+    "discrete_arguments_only": (
+        call('code_executor(program="1 + 1")', "2"),
+        call('code_executor(program="1 + 2")'),
+        [row("code_executor", 1, matched=["code_executor", 0])],
+        1.0,
+        0.0,
+        0.3,
+    ),
+    "continuous_shape_differs": (
+        call("depth_sensor(view=0, point=(0.5, 0.5))"),
+        call("depth_sensor(view=0, point=(0.5, 0.5, 2))"),
+        [
+            row(
+                "depth_sensor",
+                1,
+                schema_ok=False,
+                matched=["depth_sensor", 0],
+                error="argument 'point' has the wrong type",
+            )
+        ],
+        0.0,
+        0.5,
+        1.0,
+    ),
+    "failed_call": (
+        call('box_2d_to_box_3d(view=0, label="crate")', "obb(center=(0, 0, 2.5), half=(0.4, 0.4, 0.5), yaw=0)")
+        + call('code_executor(program="vec_get(obb_half(r1), 2)", uses=["r1"])', "0.5")
+        + call('code_executor(program="2")', "2"),
+        call('box_2d_to_box_3d(view=0, label="unicorn")')
+        + call('code_executor(program="vec_get(obb_half(r1), 2)", uses=["r1"])')
+        + call('code_executor(program="2")'),
+        [
+            row(
+                "box_2d_to_box_3d",
+                1,
+                matched=["box_2d_to_box_3d", 0],
+                error="label 'unicorn' matches 0 objects",
+            ),
+            row("code_executor", 2, matched=["code_executor", 0], error="unknown result binding 'r1'"),
+            row("code_executor", 3, matched=["code_executor", 1]),
+        ],
+        1.0,
+        0.8,
+        0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTIC_CASES))
+def test_diagnostics_rows(case):
+    gt_body, pred_body, rows, r_tool, r_param, r_code = DIAGNOSTIC_CASES[case]
+    objects = [ObjectNode(0, "crate", OrientedBox3((0.0, 0.0, 2.5), (0.4, 0.4, 0.5), 0.0))]
+    scene = Scene(K, [Pose.identity(), Pose.identity()], objects, floor_z=-3.0)
+    breakdown = score_trajectory(trace(pred_body), trace(gt_body), scene)
+    report = json.loads(json.dumps(breakdown.to_dict()))
+    assert report["diagnostics"] == rows
+    assert (breakdown.r_tool, breakdown.r_param, breakdown.r_code) == (r_tool, r_param, r_code)
 
 
 class TestGrpo:
