@@ -100,6 +100,8 @@ def cmd_generate(args) -> int:
             raise ValueError(f"seed must be an integer, not {seed!r}")
         if args.seed is not None:
             seed = args.seed
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be an integer >= 1, not {args.jobs!r}")
         generator.allocate_counts(mix, count)
         generator.check_mix_feasible(params, mix)
     except (ValueError, TypeError) as exc:

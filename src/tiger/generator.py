@@ -159,7 +159,10 @@ class SceneParams:
         for name in ("object_count", "view_count"):
             _check_range(name, getattr(self, name), _is_count, "positive integers")
         for name in ("orbit_radius", "orbit_height", "hover_range"):
-            _check_range(name, getattr(self, name), _is_number, "numbers")
+            value = getattr(self, name)
+            _check_range(name, value, _is_number, "numbers")
+            if not math.isfinite(value[1] - value[0]):
+                raise ValueError(f"{name} must span a finite width")
         if not self.orbit_radius[0] > 0:
             raise ValueError("orbit_radius must be positive")
         if not (
@@ -314,20 +317,27 @@ def _look_at(center, target) -> Pose:
     if norm < 1e-9:
         raise ValueError("camera center coincides with the look-at target")
     z = forward / norm
-    lateral = np.cross(z, np.asarray(geometry.WORLD_UP))
+    lateral = _cross(z.tolist(), geometry.WORLD_UP)
     if np.linalg.norm(lateral) < 1e-9:
         lateral = np.array([1.0, 0.0, 0.0])
     x = lateral / np.linalg.norm(lateral)
-    y = np.cross(z, x)
+    y = _cross(z.tolist(), x.tolist())
     rotation = np.stack([x, y, z])
     return Pose(rotation, -rotation @ center)
 
 
-def _fov_lateral_cap(intr: CameraIntrinsics, z: float) -> float:
+def _cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vectors: the same rounded products, subtracted alike."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _fov_lateral_cap(intr: CameraIntrinsics, z: np.ndarray) -> np.ndarray:
     # keep centers comfortably inside the view-0 frustum
     half_u = z * (intr.width / 2) / intr.fx
     half_v = z * (intr.height / 2) / intr.fy
-    return 0.8 * min(half_u, half_v)
+    return 0.8 * np.minimum(half_u, half_v)
 
 
 def _placement_clear(center, half, yaw, boxes, margin: float) -> bool:
@@ -364,8 +374,137 @@ def _placement_clear(center, half, yaw, boxes, margin: float) -> bool:
     return True
 
 
+# Placement attempts decided together, with one numpy pass (see _Draws.place).
+_BLOCK = 64
+# Doubles one placement attempt reads: 3 for the half extents, then zmin and
+# the center's x and y, then the yaw.  An attempt whose lateral cap is not
+# positive stops after zmin (4 doubles); one that rises too high stops after
+# its center (6).
+_ATTEMPT = 7
+
+
+def _block_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin: float):
+    """(cleared, blocked) per row: _placement_clear's shortcuts, broadcast.
+
+    Rows are candidate boxes, columns the placed `boxes`.  A row is cleared
+    when every pair is, blocked when some pair is; the rest are undecided.
+    Each shortcut keeps 1e-9 of slack against the exact distance, so a
+    last-ulp difference between np.hypot and math.hypot flips no verdict.
+    """
+    ox, oy, oz, ohx, ohy, ohz = np.array(
+        [b.center + b.half_extents for b in boxes]
+    ).T
+    cx, cy, cz, hx, hy, hz = (v[:, None] for v in (cx, cy, cz, hx, hy, hz))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_gap = np.maximum(np.maximum(cz - hz - (oz + ohz), oz - ohz - (cz + hz)), 0.0)
+        d = np.hypot(cx - ox, cy - oy)
+        cleared = (z_gap > margin + 1e-9) | (
+            d - np.hypot(hx, hy) - np.hypot(ohx, ohy) > margin + 1e-9
+        )
+        inner_gap = np.maximum(d - np.minimum(hx, hy) - np.minimum(ohx, ohy), 0.0)
+        touching = np.hypot(inner_gap, z_gap) < margin - 1e-9
+    return cleared.all(axis=1), (touching & ~cleared).any(axis=1)
+
+
+class _Draws:
+    """A scene's doubles after its three prefix draws, in draw order.
+
+    `rng.random(n)` yields the doubles of n scalar draws, and
+    `rng.uniform(lo, hi)` is `lo + (hi - lo) * rng.random()` bit for bit, so
+    drawing `_ATTEMPT * _BLOCK` doubles at a time and dropping the unread
+    tail realises the stream that scalar `rng.uniform` draws would.  A
+    placement attempt reads 3 half extents and zmin; then, if its lateral
+    cap is positive, the center's x and y; then, if the box is not too
+    tall, the yaw.  Its first 4 doubles thus fix how many it reads, so each
+    refill works out at once, for every offset, the attempt that would start
+    there: how many doubles it reads and the box it draws.
+    """
+
+    def __init__(self, rng: np.random.Generator, params: SceneParams, intr: CameraIntrinsics):
+        self._rng = rng
+        self._params = params
+        self._intr = intr
+        self._u = np.empty(0)
+        self._pos = 0
+
+    def _ahead(self, n: int) -> None:
+        """Have the next n doubles, and the attempts starting among them."""
+        if self._pos + n <= len(self._u):
+            return
+        u = np.concatenate((self._u[self._pos :], self._rng.random(_ATTEMPT * _BLOCK)))
+        self._u, self._pos = u, 0
+        params = self._params
+        h_lo, h_hi = params.min_half_extent, params.max_half_extent
+        z_lo, z_hi = params.hover_range
+        m = len(u) - _ATTEMPT + 1  # offsets with a whole attempt ahead
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = h_lo + (h_hi - h_lo) * u
+            hx, hy, hz = half[:m], half[1 : m + 1], half[2 : m + 2]
+            cz = z_lo + (z_hi - z_lo) * u[3 : m + 3] + hz
+            cap = np.minimum(
+                _fov_lateral_cap(self._intr, np.maximum(cz, 1e-6)) - np.maximum(hx, hy),
+                min(params.room_extent[0] / 2, params.room_extent[1] / 2),
+            )
+            tall = cz + hz > z_hi + params.room_extent[2]
+            self._reads = np.where(cap <= 0, 4, np.where(tall, 6, _ATTEMPT)).tolist()
+            lo = -cap  # the center's x and y are uniform on [-cap, cap]
+            width = cap - lo
+            cx = lo + width * u[4 : m + 4]
+            cy = lo + width * u[5 : m + 5]
+            yaw = -math.pi + (math.pi - -math.pi) * u[6 : m + 6]
+        self._attempts = np.stack((cx, cy, cz, hx, hy, hz, yaw))
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """The next double as `rng.uniform(lo, hi)` would draw it."""
+        self._ahead(1)
+        u = float(self._u[self._pos])
+        self._pos += 1
+        return lo + (hi - lo) * u
+
+    def place(self, boxes) -> OrientedBox3 | None:
+        """The first of up to max_attempts attempts clear of `boxes`, or None.
+
+        _BLOCK attempts at a time: those that read all 7 doubles go through
+        _block_verdicts together, _placement_clear decides the undecided,
+        and the first clear one in draw order is taken.  With no boxes every
+        whole attempt is clear, so attempts are taken one at a time.
+        """
+        margin = self._params.placement_margin
+        left = self._params.max_attempts
+        while left > 0:
+            n = min(_BLOCK if boxes else 1, left)
+            self._ahead(_ATTEMPT * n)
+            reads = self._reads
+            whole = []
+            p = self._pos
+            for _ in range(n):
+                if reads[p] == _ATTEMPT:
+                    whole.append(p)
+                p += reads[p]
+            cx, cy, cz, hx, hy, hz, yaw = self._attempts[:, whole]
+            if boxes:
+                cleared, blocked = _block_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin)
+            else:
+                cleared = np.ones(len(whole), dtype=bool)
+                blocked = ~cleared
+            for i in np.flatnonzero(~blocked).tolist():
+                center = (float(cx[i]), float(cy[i]), float(cz[i]))
+                half = (float(hx[i]), float(hy[i]), float(hz[i]))
+                if cleared[i] or _placement_clear(center, half, float(yaw[i]), boxes, margin):
+                    self._pos = whole[i] + _ATTEMPT
+                    return OrientedBox3(center, half, float(yaw[i]))
+            self._pos = p
+            left -= n
+        return None
+
+
 def generate_scene(params: SceneParams, seed: int) -> Scene:
-    """Sample a non-overlapping, fully visible scene; deterministic per seed."""
+    """Sample a non-overlapping, fully visible scene; deterministic per seed.
+
+    After the object count, view count and labels, every draw reads one
+    stream of doubles (`_Draws`): the placement attempts, then 3 per extra
+    view.
+    """
     rng = np.random.default_rng(seed)
     fx, fy, cx, cy, width, height = params.intrinsics
     intr = CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
@@ -373,41 +512,16 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
     n_objects = int(rng.integers(params.object_count[0], params.object_count[1] + 1))
     n_views = int(rng.integers(params.view_count[0], params.view_count[1] + 1))
     labels = [str(x) for x in rng.choice(params.labels, size=n_objects, replace=False)]
+    draws = _Draws(rng, params, intr)
 
     for _ in range(params.max_attempts):
         boxes = []
-        ok = True
         for _ in range(n_objects):
-            placed = False
-            for _ in range(params.max_attempts):
-                half = tuple(
-                    rng.uniform(
-                        params.min_half_extent, params.max_half_extent, size=3
-                    ).tolist()
-                )
-                zmin = rng.uniform(params.hover_range[0], params.hover_range[1])
-                cz = zmin + half[2]
-                cap = min(
-                    _fov_lateral_cap(intr, max(cz, 1e-6)) - max(half[0], half[1]),
-                    params.room_extent[0] / 2,
-                    params.room_extent[1] / 2,
-                )
-                if cap <= 0:
-                    continue
-                cx_w = rng.uniform(-cap, cap)
-                cy_w = rng.uniform(-cap, cap)
-                if cz + half[2] > params.hover_range[1] + params.room_extent[2]:
-                    continue
-                center = (cx_w, cy_w, cz)
-                yaw = rng.uniform(-math.pi, math.pi)
-                if _placement_clear(center, half, yaw, boxes, params.placement_margin):
-                    boxes.append(OrientedBox3(center, half, yaw))
-                    placed = True
-                    break
-            if not placed:
-                ok = False
+            box = draws.place(boxes)
+            if box is None:
                 break
-        if not ok:
+            boxes.append(box)
+        if len(boxes) < n_objects:
             continue
 
         objects = tuple(
@@ -416,9 +530,9 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
         pivot = np.mean([b.center for b in boxes], axis=0)
         views = [Pose.identity()]
         for _ in range(n_views - 1):
-            azimuth = rng.uniform(0.0, 2.0 * math.pi)
-            radius = rng.uniform(*params.orbit_radius)
-            cam_z = pivot[2] + rng.uniform(*params.orbit_height)
+            azimuth = draws.uniform(0.0, 2.0 * math.pi)
+            radius = draws.uniform(*params.orbit_radius)
+            cam_z = pivot[2] + draws.uniform(*params.orbit_height)
             center = np.array(
                 [
                     pivot[0] + radius * math.cos(azimuth),
@@ -1197,9 +1311,15 @@ def generate_records(
     master_seed: int,
     jobs: int = 1,
 ):
-    """All dataset lines in index order; independent of the parallelism degree."""
+    """All dataset lines in index order; independent of the parallelism degree.
+
+    `jobs` caps the worker processes; the pool never outnumbers the samples
+    or the CPUs.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, not {jobs!r}")
     check_mix_feasible(params, mix)
     counts = allocate_counts(mix, count)
     assignments = []
@@ -1209,8 +1329,9 @@ def generate_records(
         (params, family, index, master_seed)
         for index, family in enumerate(assignments)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_build_record_star, tasks, chunksize=8)), counts
     return [_build_record_star(t) for t in tasks], counts
 

@@ -607,15 +607,18 @@ def evaluate(program: Program, bindings=None, limits: EvalLimits = EvalLimits())
 
     Bindings map names to floats, 1-D / 2-D numpy arrays, or OrientedBox3.
     Deterministic: the result is a pure function of (program, bindings,
-    limits).
+    limits).  numpy's floating-point warnings are silenced: an overflow,
+    NaN or division by zero shows in the value or its DslError, never as a
+    RuntimeWarning on stderr.
     """
     env = {}
     for name, value in (bindings or {}).items():
         env[name] = value
     ev = _Evaluator(limits)
-    for name, expr in program.lets:
-        env[name] = ev.eval(expr, env)
-    return ev.eval(program.result, env)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for name, expr in program.lets:
+            env[name] = ev.eval(expr, env)
+        return ev.eval(program.result, env)
 
 
 def run(source: str, bindings=None, limits: EvalLimits = EvalLimits()):

@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import tiger
 import tiger.generator
 from tiger.cli import main
 from tiger.generator import SceneParams, generate_scene
@@ -22,6 +26,18 @@ def assert_one_error(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {prefix}")
     assert err.count("\n") == 1
+
+
+def run_tiger(*args) -> int:
+    """`tiger ARGS` in a fresh interpreter, writing to this process's stdout and stderr.
+
+    In-process runs go through pytest's warning capture; a child process
+    shows what a user's terminal would, RuntimeWarnings included.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tiger.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    program = "import sys; from tiger.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", program, *args], env=env).returncode
 
 
 @pytest.fixture
@@ -119,6 +135,25 @@ class TestGenerate:
         code = main(["generate", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert_one_error(capsys, f"bad config: count must be an integer >= 1, not {count!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["hover_range", "orbit_height"])
+    def test_range_too_wide_to_draw_from_exits_one(self, tmp_path, capsys, name):
+        # numpy's uniform draw refuses a range whose width overflows
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(CONFIG, scene={name: [-1e308, 1e308]})))
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "x.jsonl")])
+        assert code == 1
+        assert_one_error(capsys, f"bad config: {name} must span a finite width")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(CONFIG))
+        out = tmp_path / "x.jsonl"
+        code = main(["generate", "--config", str(path), "--out", str(out), "--jobs", str(jobs)])
+        assert code == 1
+        assert_one_error(capsys, f"bad config: jobs must be an integer >= 1, not {jobs!r}")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [2.7, True, "3"])
@@ -435,6 +470,21 @@ def test_score_reports_a_non_finite_program_as_a_call_error(tmp_path, dataset, c
     assert "failed at step 1: index must be integral" in capsys.readouterr().err
 
 
+def test_score_of_an_overflowing_program_prints_no_warning(tmp_path, dataset, capfd):
+    record = json.loads(dataset.read_text().splitlines()[0])
+    program = "dot(vec(1e308, 1e308), vec(1e308, 1))"
+    trace = (
+        f'<think>x</think><tool_call>code_executor(program="{program}")</tool_call>'
+        "<answer format=scalar>0m</answer>"
+    )
+    candidates = tmp_path / "c.jsonl"
+    candidates.write_text(json.dumps({"id": record["id"], "trajectory": trace}) + "\n")
+    assert run_tiger("score", "--dataset", str(dataset), "--candidates", str(candidates)) == 0
+    err = capfd.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "failed at step 1: " in err
+
+
 def test_run_of_a_non_finite_program_exits_three(tmp_path, dataset, capsys):
     record = json.loads(dataset.read_text().splitlines()[0])
     scene_path = tmp_path / "scene.json"
@@ -719,6 +769,12 @@ class TestDsl:
     def test_unrepresentable_result_exits_one(self, capsys):
         assert main(["dsl", "--program", "norm(vec(1e308, 1e308))"]) == 1
         assert_one_error(capsys, "program result is not representable: ")
+
+    def test_overflow_writes_one_error_line_and_no_warning(self, capfd):
+        assert run_tiger("dsl", "--program", "norm(vec(1e308, 1e308))") == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("doc", [["a"], {"a": 5}], ids=["array", "number_value"])
     def test_bindings_of_wrong_shape_exit_one(self, tmp_path, capsys, doc):

@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from tiger.generator import (
     FAMILIES,
     GenerationError,
     InsufficientScene,
+    PlacementFailure,
     Sample,
     SceneParams,
     Template,
@@ -24,13 +27,23 @@ from tiger.generator import (
     generate_scene,
     instantiate,
     regenerate_from_manifest,
+    _Draws,
+    _block_verdicts,
     _placement_clear,
     self_check,
 )
-from tiger.geometry import OrientedBox3, obb_distance, relative_camera_motion, OrbitDirection
+from tiger.geometry import (
+    WORLD_UP,
+    CameraIntrinsics,
+    OrientedBox3,
+    Pose,
+    obb_distance,
+    relative_camera_motion,
+    OrbitDirection,
+)
 from tiger.rewards import check_interval, score_trajectory
 from tiger.runtime import ExecutionContext, run_trajectory
-from tiger.scene import Scene
+from tiger.scene import ObjectNode, Scene
 from tiger.scenegraph import Relation, region_contains
 from tiger.minidsl import DslError
 from tiger.trajectory import (
@@ -128,6 +141,187 @@ def test_placement_shortcuts_decide_exactly(case):
     box = OrientedBox3(center, half, yaw)
     expected = all(obb_distance(box, other) > margin for other in placed)
     assert _placement_clear(center, half, yaw, placed, margin) == expected
+
+
+# two square footprints turned 45 degrees, corner to corner: the
+# circumcircle bound on their distance is tight
+_CORNER = OrientedBox3((0.0, 0.0, 0.8), (0.1, 0.1, 0.1), math.pi / 4)
+_FACING = ((0.5, 0.0, 0.8), (0.1, 0.1, 0.1), math.pi / 4)
+_FACING_GAP = obb_distance(OrientedBox3(*_FACING), _CORNER)
+
+
+@given(placement_cases(), st.lists(_BOX_FIELDS, max_size=4))
+@example((*_STACKED, [_BELOW], _STACKED_GAP), [])
+@example((*_STACKED, [_BELOW], _STACKED_GAP - 5e-10), [])
+@example((*_FACING, [_CORNER], _FACING_GAP + 5e-4), [_FACING])
+@example((*_FACING, [_CORNER], _FACING_GAP - 5e-4), [_FACING])
+def test_block_verdicts_agree_with_placement_clear(case, more):
+    """Cleared rows are clear, blocked rows are not; the rest go to the scalar test."""
+    center, half, yaw, placed, margin = case
+    if not placed:
+        return  # the block sampler takes every whole attempt when nothing is placed
+    rows = [(center, half, yaw), *more]
+    columns = [np.array([row[0][k] for row in rows]) for k in range(3)]
+    columns += [np.array([row[1][k] for row in rows]) for k in range(3)]
+    cleared, blocked = _block_verdicts(*columns, placed, margin)
+    assert cleared.shape == blocked.shape == (len(rows),)
+    for (c, h, y), row_cleared, row_blocked in zip(rows, cleared, blocked):
+        assert not (row_cleared and row_blocked)
+        expected = _placement_clear(c, h, y, placed, margin)
+        if row_cleared or row_blocked:
+            assert row_cleared == expected
+        box = OrientedBox3(c, h, y)
+        assert expected == all(obb_distance(box, other) > margin for other in placed)
+
+
+def test_draws_read_the_stream_of_scalar_uniform_draws():
+    # more doubles than one refill holds, so reads cross refills
+    intr = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
+    draws = _Draws(np.random.default_rng(17), PARAMS, intr)
+    rng = np.random.default_rng(17)
+    bounds = [(0.0, 2.0 * math.pi), (1.6, 2.6), (-0.7, 0.3)] * 400
+    assert [draws.uniform(lo, hi) for lo, hi in bounds] == [
+        rng.uniform(lo, hi) for lo, hi in bounds
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The scalar scene sampler the block sampler replaced, kept as its reference.
+# It draws every field with its own rng.uniform call and tests each attempt
+# with _placement_clear; `paths` counts the early rejections and the objects
+# that ran out of attempts.
+# ---------------------------------------------------------------------------
+
+
+def _reference_look_at(center, target) -> Pose:
+    center = np.asarray(center, dtype=float)
+    forward = np.asarray(target, dtype=float) - center
+    norm = np.linalg.norm(forward)
+    if norm < 1e-9:
+        raise ValueError("camera center coincides with the look-at target")
+    z = forward / norm
+    lateral = np.cross(z, np.asarray(WORLD_UP))
+    if np.linalg.norm(lateral) < 1e-9:
+        lateral = np.array([1.0, 0.0, 0.0])
+    x = lateral / np.linalg.norm(lateral)
+    y = np.cross(z, x)
+    rotation = np.stack([x, y, z])
+    return Pose(rotation, -rotation @ center)
+
+
+def _reference_fov_lateral_cap(intr: CameraIntrinsics, z: float) -> float:
+    half_u = z * (intr.width / 2) / intr.fx
+    half_v = z * (intr.height / 2) / intr.fy
+    return 0.8 * min(half_u, half_v)
+
+
+def _reference_generate_scene(params: SceneParams, seed: int, paths) -> Scene:
+    rng = np.random.default_rng(seed)
+    fx, fy, cx, cy, width, height = params.intrinsics
+    intr = CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
+
+    n_objects = int(rng.integers(params.object_count[0], params.object_count[1] + 1))
+    n_views = int(rng.integers(params.view_count[0], params.view_count[1] + 1))
+    labels = [str(x) for x in rng.choice(params.labels, size=n_objects, replace=False)]
+
+    for _ in range(params.max_attempts):
+        boxes = []
+        ok = True
+        for _ in range(n_objects):
+            placed = False
+            for _ in range(params.max_attempts):
+                half = tuple(
+                    rng.uniform(
+                        params.min_half_extent, params.max_half_extent, size=3
+                    ).tolist()
+                )
+                zmin = rng.uniform(params.hover_range[0], params.hover_range[1])
+                cz = zmin + half[2]
+                cap = min(
+                    _reference_fov_lateral_cap(intr, max(cz, 1e-6)) - max(half[0], half[1]),
+                    params.room_extent[0] / 2,
+                    params.room_extent[1] / 2,
+                )
+                if cap <= 0:
+                    paths["cap"] += 1
+                    continue
+                cx_w = rng.uniform(-cap, cap)
+                cy_w = rng.uniform(-cap, cap)
+                if cz + half[2] > params.hover_range[1] + params.room_extent[2]:
+                    paths["tall"] += 1
+                    continue
+                center = (cx_w, cy_w, cz)
+                yaw = rng.uniform(-math.pi, math.pi)
+                if _placement_clear(center, half, yaw, boxes, params.placement_margin):
+                    boxes.append(OrientedBox3(center, half, yaw))
+                    placed = True
+                    break
+            if not placed:
+                paths["exhausted"] += 1
+                ok = False
+                break
+        if not ok:
+            continue
+
+        objects = tuple(
+            ObjectNode(id=i, label=labels[i], box3=boxes[i]) for i in range(n_objects)
+        )
+        pivot = np.mean([b.center for b in boxes], axis=0)
+        views = [Pose.identity()]
+        for _ in range(n_views - 1):
+            azimuth = rng.uniform(0.0, 2.0 * math.pi)
+            radius = rng.uniform(*params.orbit_radius)
+            cam_z = pivot[2] + rng.uniform(*params.orbit_height)
+            center = np.array(
+                [
+                    pivot[0] + radius * math.cos(azimuth),
+                    pivot[1] + radius * math.sin(azimuth),
+                    cam_z,
+                ]
+            )
+            views.append(_reference_look_at(center, pivot))
+
+        scene = Scene(intr, views, objects, floor_z=0.0)
+        if all(
+            any(scene.project_box(obj, v) is not None for v in range(n_views))
+            for obj in objects
+        ):
+            return scene
+    raise PlacementFailure(f"could not place {n_objects} objects after retries")
+
+
+def _scene_or_failure(sample, *args):
+    try:
+        return sample(*args).to_json()
+    except PlacementFailure as exc:
+        return f"PlacementFailure: {exc}"
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({}, None),
+        # half extents past the lateral cap: attempts that read 4 doubles
+        ({"object_count": (1, 3), "view_count": (1, 2), "max_half_extent": 0.6}, "cap"),
+        # a 0.1 m tall room: attempts that read 6 doubles
+        ({"object_count": (2, 3), "view_count": (1, 2), "room_extent": (2.4, 2.4, 0.1)}, "tall"),
+        # objects that run out of attempts, and scenes that fail on both sides
+        ({"view_count": (1, 2), "max_attempts": 8}, "exhausted"),
+    ],
+    ids=["defaults", "wide", "flat", "few_attempts"],
+)
+def test_block_sampler_draws_the_scalar_scenes(fields, path):
+    params = SceneParams(**fields)
+    paths = collections.Counter()
+    failures = 0
+    for seed in range(2000):
+        expected = _scene_or_failure(_reference_generate_scene, params, seed, paths)
+        assert _scene_or_failure(generate_scene, params, seed) == expected, seed
+        failures += expected.startswith("PlacementFailure")
+    if path is not None:
+        assert paths[path] > 0
+    if path == "exhausted":
+        assert failures > 0
 
 
 class TestTemplates:
@@ -424,6 +618,40 @@ class TestDataset:
         seq, _ = generate_records(PARAMS, mix, 8, 11, jobs=1)
         par, _ = generate_records(PARAMS, mix, 8, 11, jobs=3)
         assert seq == par
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.0])
+    def test_jobs_below_one_or_not_an_integer_refused(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, not {jobs!r}"):
+            generate_records(PARAMS, {"object_size": 1.0}, 2, 11, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, workers",
+        [(5000, 3, 64, 3), (5000, 16, 2, 2), (2, 16, 64, 2), (4, 16, None, None), (3, 1, 64, None)],
+    )
+    def test_pool_never_outnumbers_samples_or_cpus(self, monkeypatch, jobs, count, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(tiger.generator, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        mix = {"object_size": 1.0}
+        lines, _ = generate_records(PARAMS, mix, count, 11, jobs=jobs)
+        assert started == ([workers] if workers else [])
+        assert lines == generate_records(PARAMS, mix, count, 11, jobs=1)[0]
 
     def test_replay_matches_stored_bytes(self):
         lines, _ = generate_records(PARAMS, DEFAULT_MIX, 16, 5)
