@@ -178,6 +178,18 @@ class Box2:
             raise GeometryError("box must have positive extent")
 
 
+# sign of each box corner along the local axes, x slowest and z fastest
+_CORNER_SIGNS = np.array(
+    [
+        [sx, sy, sz]
+        for sx in (-1.0, 1.0)
+        for sy in (-1.0, 1.0)
+        for sz in (-1.0, 1.0)
+    ]
+)
+_CORNER_SIGNS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class OrientedBox3:
     """Gravity-aligned 3D box: center, half extents, yaw about world +Z."""
@@ -208,15 +220,7 @@ class OrientedBox3:
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
     def corners(self) -> np.ndarray:
-        signs = np.array(
-            [
-                [sx, sy, sz]
-                for sx in (-1.0, 1.0)
-                for sy in (-1.0, 1.0)
-                for sz in (-1.0, 1.0)
-            ]
-        )
-        local = signs * np.asarray(self.half_extents)
+        local = _CORNER_SIGNS * np.asarray(self.half_extents)
         return local @ self.rotation().T + np.asarray(self.center)
 
     @property

@@ -259,11 +259,13 @@ def _ray_box_params(origin, dirs, box: OrientedBox3):
 
 
 def cast_rays(scene: Scene, view: int, u, v):
-    """Cast pixel rays; returns (depths, owners) arrays shaped like u.
+    """Cast pixel rays; returns (depths, owners) arrays of u and v's broadcast shape.
 
-    depths hold camera z-depth of the nearest hit (inf where nothing is hit);
-    owners hold the object index into scene.objects, -2 for the floor, and
-    -1 for no hit.
+    u and v broadcast against each other, so a pixel window can be given as
+    a (1, W) row of column centres and an (H, 1) column of row centres; a
+    scalar pair gives shape (1,).  depths hold camera z-depth of the nearest
+    hit (inf where nothing is hit); owners hold the object index into
+    scene.objects, -2 for the floor, and -1 for no hit.
 
     An object whose 8 corners all lie in front of the camera (z > _EPS) is
     tested only against the rays whose (u, v) falls in its corners' pixel
@@ -278,30 +280,27 @@ def cast_rays(scene: Scene, view: int, u, v):
     k = scene.intrinsics
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    d_cam = np.stack(
-        [(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=-1
-    )
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    d_cam = np.empty(shape + (3,))
+    d_cam[..., 0] = (u - k.cx) / k.fx
+    d_cam[..., 1] = (v - k.cy) / k.fy
+    d_cam[..., 2] = 1.0
     origin = pose.center()
     dirs = (d_cam @ pose.rotation).reshape(-1, 3)  # rows transformed by R^T
-    u_flat = u.reshape(-1)
-    v_flat = v.reshape(-1)
-    best = np.full(u_flat.shape, np.inf)
-    owner = np.full(u_flat.shape, -1, dtype=int)
+    best = np.full(len(dirs), np.inf)
+    owner = np.full(len(dirs), -1, dtype=int)
     for idx, obj in enumerate(scene.objects):
         cam = transform(pose, obj.box3.corners())
         if np.all(cam[:, 2] > _EPS):
             pu = k.fx * cam[:, 0] / cam[:, 2] + k.cx
             pv = k.fy * cam[:, 1] / cam[:, 2] + k.cy
-            rays = np.flatnonzero(
-                (u_flat >= pu.min() - 1.0)
-                & (u_flat <= pu.max() + 1.0)
-                & (v_flat >= pv.min() - 1.0)
-                & (v_flat <= pv.max() + 1.0)
-            )
+            on_u = (u >= pu.min() - 1.0) & (u <= pu.max() + 1.0)
+            on_v = (v >= pv.min() - 1.0) & (v <= pv.max() + 1.0)
+            rays = np.flatnonzero(on_u & on_v)
             if rays.size == 0:
                 continue
         else:
-            rays = np.arange(u_flat.size)
+            rays = np.arange(len(dirs))
         t = _ray_box_params(origin, dirs[rays], obj.box3)
         closer = t < best[rays]
         best[rays[closer]] = t[closer]
@@ -309,13 +308,10 @@ def cast_rays(scene: Scene, view: int, u, v):
     dz = dirs[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_floor = (scene.floor_z - origin[2]) / dz
-    t_floor = np.where(
-        (np.abs(dz) > _EPS) & (t_floor > _EPS), t_floor, np.inf
-    )
-    closer = t_floor < best
-    best = np.where(closer, t_floor, best)
-    owner = np.where(closer, -2, owner)
-    return best.reshape(u.shape), owner.reshape(u.shape)
+    closer = (t_floor < best) & (t_floor > _EPS) & (np.abs(dz) > _EPS)
+    np.copyto(best, t_floor, where=closer)
+    owner[closer] = -2
+    return best.reshape(shape), owner.reshape(shape)
 
 
 def cast_ray(scene: Scene, view: int, u: float, v: float):
@@ -330,6 +326,8 @@ def cast_ray(scene: Scene, view: int, u: float, v: float):
 def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):
     """Integer pixel centers covered by a 2D box, clipped to the image.
 
+    Returns (i0, j0, cols, rows): cols is a (1, W) row of pixel columns and
+    rows an (H, 1) column of pixel rows, which broadcast to the window.
     With max_per_axis set, rows and columns are subsampled by a deterministic
     integer stride so neither axis exceeds that many samples.
     """
@@ -343,10 +341,9 @@ def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):
     if max_per_axis is not None:
         step_i = max(1, -(-(i1 - i0 + 1) // max_per_axis))
         step_j = max(1, -(-(j1 - j0 + 1) // max_per_axis))
-    ii, jj = np.meshgrid(
-        np.arange(i0, i1 + 1, step_i), np.arange(j0, j1 + 1, step_j)
-    )
-    return i0, j0, ii, jj
+    cols = np.arange(i0, i1 + 1, step_i)[None, :]
+    rows = np.arange(j0, j1 + 1, step_j)[:, None]
+    return i0, j0, cols, rows
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +380,9 @@ def _grid_hits(ctx, view, box2, max_per_axis=None):
     )
     if grid is None:
         raise EmptyRegion("2D box covers no pixels")
-    i0, j0, ii, jj = grid
-    depths, owners = cast_rays(ctx.scene, view, ii + 0.5, jj + 0.5)
+    i0, j0, cols, rows = grid
+    depths, owners = cast_rays(ctx.scene, view, cols + 0.5, rows + 0.5)
+    ii, jj = np.broadcast_arrays(cols, rows)
     return i0, j0, ii, jj, depths, owners
 
 

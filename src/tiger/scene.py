@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box2, CameraIntrinsics, OrientedBox3, Pose, project_many
+from .geometry import Box2, CameraIntrinsics, OrientedBox3, Pose
 
 
 class UnknownView(ValueError):
@@ -77,11 +77,13 @@ class Scene:
         cam = corners @ pose.rotation.T + pose.translation
         if np.any(cam[:, 2] <= 1e-9):
             return None
-        uv = project_many(corners, self.intrinsics, pose)
-        umin = max(float(uv[:, 0].min()), 0.0)
-        vmin = max(float(uv[:, 1].min()), 0.0)
-        umax = min(float(uv[:, 0].max()), float(self.intrinsics.width))
-        vmax = min(float(uv[:, 1].max()), float(self.intrinsics.height))
+        k = self.intrinsics
+        u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
+        v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
+        umin = max(float(u.min()), 0.0)
+        vmin = max(float(v.min()), 0.0)
+        umax = min(float(u.max()), float(k.width))
+        vmax = min(float(v.max()), float(k.height))
         if umin >= umax or vmin >= vmax:
             return None
         return Box2(umin, vmin, umax, vmax)

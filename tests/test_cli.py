@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -634,6 +635,32 @@ class TestRun:
         code = main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)])
         assert code == 3
         assert "step 1" in capsys.readouterr().err
+
+    # sha256 of the stdout of `tiger run` over a full-frame depth, a full-frame
+    # segmentation and a label lookup in view 1 of one fixed scene; a change
+    # to any cast, mask, RLE or fitted box moves one of them
+    FULL_FRAME_DIGESTS = {
+        "oracle": "95e46714def92a0207ea95465f17af3d5127f8cc2486857a8f01e0dd9c3ecb36",
+        "fitted": "104d900cc15c37ee3a82ae6b75eef7b846b1833d74bcdc68f401bbafc709f48f",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(FULL_FRAME_DIGESTS))
+    def test_full_frame_outputs_are_pinned(self, tmp_path, capsys, mode):
+        scene = generate_scene(SceneParams(object_count=(4, 4)), 3)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene.to_json())
+        traj_path = tmp_path / "traj.txt"
+        traj_path.write_text(
+            "<think>measure</think>"
+            "<tool_call>depth_sensor(view=1, box=box(0, 0, 640, 480))</tool_call>"
+            "<tool_call>object_segmentation(view=1, box=box(0, 0, 640, 480))</tool_call>"
+            '<tool_call>box_2d_to_box_3d(view=1, label="table")</tool_call>'
+            "<answer format=scalar>0</answer>"
+        )
+        args = ["--scene", str(scene_path), "--trajectory", str(traj_path), "--mode", mode]
+        assert main(["run", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FULL_FRAME_DIGESTS[mode]
 
 
     def test_unwritable_out_exits_one(self, tmp_path, dataset, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiger.minidsl
@@ -26,6 +26,7 @@ from tiger.runtime import (
     SchemaError,
     TrajectoryRunError,
     UnknownTool,
+    _pixel_grid,
     _rle_encode,
     cast_ray,
     cast_rays,
@@ -328,6 +329,98 @@ class TestCasterExactness:
         assert_casts_equal(scn, 0, [320.0], [240.0])
         depths, owners = cast_rays(scn, 0, 320.0, 240.0)
         assert depths.shape == owners.shape == (1,)
+
+
+def assert_window_cast_equal(scene, view, box2, max_per_axis=None):
+    """A pixel window cast as a row × column grid equals the reference on its meshgrid."""
+    k = scene.intrinsics
+    _i0, _j0, cols, rows = _pixel_grid(box2, k.width, k.height, max_per_axis)
+    assert cols.ndim == rows.ndim == 2 and cols.shape[0] == rows.shape[1] == 1
+    u, v = np.meshgrid(cols[0] + 0.5, rows[:, 0] + 0.5)
+    depths, owners = cast_rays(scene, view, cols + 0.5, rows + 0.5)
+    ref_depths, ref_owners = reference_cast_rays(scene, view, u, v)
+    assert depths.shape == owners.shape == u.shape
+    assert np.array_equal(depths, ref_depths)
+    assert np.array_equal(owners, ref_owners)
+    return owners
+
+
+FRAME = Box2(0.0, 0.0, 640.0, 480.0)
+
+
+class TestWindowCast:
+    """cast_rays broadcasts a (1, W) row of columns against an (H, 1) column of rows."""
+
+    def test_full_frame_of_every_view(self):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 4)
+        for view in range(len(scn.views)):
+            assert (assert_window_cast_equal(scn, view, FRAME) >= 0).any()
+
+    def test_window_partly_off_image(self):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 5)
+        window = Box2(-120.0, 300.3, 200.7, 700.0)
+        for view in range(len(scn.views)):
+            owners = assert_window_cast_equal(scn, view, window)
+            assert owners.shape == (180, 201)
+
+    def test_subsampled_windows(self):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 6)
+        for view in range(len(scn.views)):
+            assert assert_window_cast_equal(scn, view, FRAME, 64).shape == (60, 64)
+            for obj in scn.objects:
+                box2 = scn.project_box(obj, view)
+                if box2 is not None:
+                    assert_window_cast_equal(scn, view, box2, 64)
+
+    def test_box_straddling_the_camera_plane(self):
+        scn = scene_with(TestCasterExactness.NEAR, OrientedBox3((0.8, 0.0, 0.2), (0.5, 0.1, 0.5), 0.3))
+        assert (assert_window_cast_equal(scn, 0, FRAME) == 1).any()
+        assert (assert_window_cast_equal(scn, 0, FRAME, 64) == 1).any()
+
+    def test_floor_only_view(self):
+        down = look_at([10.0, 10.0, 1.0], [12.0, 12.0, -5.0])
+        scn = Scene(K, [Pose.identity(), down], [ObjectNode(0, "o0", TestCasterExactness.NEAR)], floor_z=-5.0)
+        assert set(np.unique(assert_window_cast_equal(scn, 1, FRAME))) == {-2}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 7),
+        view=st.integers(0, 3),
+        corner=st.tuples(st.floats(-200.0, 700.0), st.floats(-200.0, 550.0)),
+        size=st.tuples(st.floats(0.5, 400.0), st.floats(0.5, 400.0)),
+        max_per_axis=st.sampled_from([None, 64, 7, 1]),
+    )
+    def test_any_window(self, seed, view, corner, size, max_per_axis):
+        scn = generate_scene(SceneParams(object_count=(2, 5)), seed)
+        box2 = Box2(corner[0], corner[1], corner[0] + size[0], corner[1] + size[1])
+        k = scn.intrinsics
+        if _pixel_grid(box2, k.width, k.height) is not None:
+            assert_window_cast_equal(scn, view % len(scn.views), box2, max_per_axis)
+
+    def test_grid_hits_returns_the_meshgrid_of_the_window(self, ctx):
+        from tiger.runtime import _grid_hits
+
+        for box2, max_per_axis in ((Box2(-3.2, 10.0, 200.0, 95.6), None), (FRAME, 64)):
+            i0, j0, ii, jj, depths, _owners = _grid_hits(ctx, 0, box2, max_per_axis)
+            _i0, _j0, cols, rows = _pixel_grid(box2, 640, 480, max_per_axis)
+            want_ii, want_jj = np.meshgrid(cols[0], rows[:, 0])
+            assert (i0, j0) == (cols[0, 0], rows[0, 0])
+            assert np.array_equal(ii, want_ii) and np.array_equal(jj, want_jj)
+            assert ii.shape == jj.shape == depths.shape
+
+    def test_shapes(self):
+        scn = scene_with(TestCasterExactness.NEAR)
+        for u, v, shape in (
+            (320.0, 240.0, (1,)),
+            ([320.0], [240.0], (1,)),
+            (np.full(7, 320.0), np.linspace(0.0, 480.0, 7), (7,)),
+            (np.full((3, 4), 320.0), np.full((3, 4), 240.0), (3, 4)),
+            (np.arange(5.0)[None, :], np.arange(3.0)[:, None], (3, 5)),
+            (np.arange(5.0), 240.0, (5,)),
+        ):
+            depths, owners = cast_rays(scn, 0, u, v)
+            assert depths.shape == owners.shape == shape
+            assert depths.dtype == float and owners.dtype == int
 
 
 def reference_rle(bits):
