@@ -140,6 +140,18 @@ def invert(a: Pose) -> Pose:
     return Pose(a.rotation.T, -(a.rotation.T @ a.translation))
 
 
+def matvec3(m, x, y, z):
+    """m @ (x, y, z) with each row summed left to right, one element at a time.
+
+    m is 3x3; x, y and z are scalars or arrays that broadcast.  Returns the
+    three components.  Unlike `@`, whose BLAS kernel may block or fuse a sum
+    differently for another batch size or CPU, each output element here is
+    fixed by its own inputs.
+    """
+    m = np.asarray(m, dtype=float).tolist()
+    return tuple(row[0] * x + row[1] * y + row[2] * z for row in m)
+
+
 def transform(a: Pose, p) -> np.ndarray:
     """Apply the pose to one point (3,) or a stack of points (N, 3)."""
     p = np.asarray(p, dtype=float)
@@ -282,17 +294,6 @@ def project(point_world, intr: CameraIntrinsics, pose: Pose) -> ImagePoint:
     return ImagePoint(u, v, u / intr.width, v / intr.height)
 
 
-def project_many(points, intr: CameraIntrinsics, pose: Pose) -> np.ndarray:
-    """Project (N, 3) world points to (N, 2) pixel coordinates."""
-    p = transform(pose, np.asarray(points, dtype=float))
-    z = p[..., 2]
-    if np.any(z <= 0):
-        raise BehindCamera("point behind camera")
-    u = intr.fx * p[..., 0] / z + intr.cx
-    v = intr.fy * p[..., 1] / z + intr.cy
-    return np.stack([u, v], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Camera motion
 # ---------------------------------------------------------------------------
@@ -420,14 +421,22 @@ def fit_obb(points, min_extent: float = 0.01) -> OrientedBox3:
     zmax = float(pts[:, 2].max())
 
     xy = pts[:, :2]
-    centered = xy - xy.mean(axis=0)
-    cov = centered.T @ centered / pts.shape[0]
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[1] <= 1e-12 or evals[0] <= 1e-9 * evals[1]:
+    cx = xy[:, 0] - xy[:, 0].mean()
+    cy = xy[:, 1] - xy[:, 1].mean()
+    # second moments of the ground-plane spread, as elementwise sums rather
+    # than a BLAS product, and the closed-form eigen-decomposition of their
+    # symmetric 2x2 matrix
+    n = pts.shape[0]
+    sxx = float((cx * cx).sum()) / n
+    syy = float((cy * cy).sum()) / n
+    sxy = float((cx * cy).sum()) / n
+    mid = (sxx + syy) / 2.0
+    radius = math.hypot((sxx - syy) / 2.0, sxy)
+    major, minor = mid + radius, mid - radius
+    if major <= 1e-12 or minor <= 1e-9 * major:
         yaw = 0.0  # degenerate ground-plane spread
     else:
-        major = evecs[:, 1]
-        yaw = math.atan2(major[1], major[0])
+        yaw = 0.5 * math.atan2(2.0 * sxy, sxx - syy)  # the major axis
         k = math.floor((yaw + math.pi / 4) / (math.pi / 2))
         yaw -= k * (math.pi / 2)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, minidsl
-from .geometry import OrientedBox3, fit_obb, invert, project, transform
+from .geometry import OrientedBox3, fit_obb, project, transform
 from .scene import Scene, UnknownView
 from .trajectory import (
     Box2Value,
@@ -157,6 +157,18 @@ class ExecutionContext:
     known names) to each code_executor program parsed without error, so a
     program is parsed once; its result is never cached, since it depends
     on the bindings.
+
+    Finally it maps ("hits", view) to that view's hit buffer: the read-only
+    depth and owner arrays of the first full-frame window (a depth or
+    segmentation box covering the whole image) cast in that view.  Every
+    later window of the view, dense or subsampled, is read from it as
+    read-only views, with no cast; before it exists, each window is cast
+    afresh and not kept.  Since cast_rays computes each ray from its own
+    pixel alone, a read equals a fresh cast bit for bit.  A buffer costs
+    about 4.9 MB at 640x480 (8 + 8 bytes a pixel) for each view with a
+    full-frame window, for as long as the cache lives.  Hits do not depend
+    on the mode, so contexts of either mode may share a cache, but only
+    contexts over the same scene may.
     """
 
     scene: Scene
@@ -228,31 +240,40 @@ def check_call(call: ToolCall):
 
 _EPS = 1e-9
 FLOOR = "floor"
+# rays cast together: a block's temporaries stay small enough for the
+# allocator to reuse, where a frame's would be fresh pages on every cast
+_BLOCK_RAYS = 1 << 15
 
 
-def _ray_box_params(origin, dirs, box: OrientedBox3):
+def _ray_box_params(origin, dx, dy, dz, box: OrientedBox3):
     """Slab-method entry parameter for rays against one oriented box.
 
-    Rays are origin + t * dirs with t equal to camera z-depth; returns inf
-    where the ray misses.
+    Rays are origin + t * (dx, dy, dz) with t equal to camera z-depth;
+    returns inf where the ray misses.  The box only yaws about +Z, so each
+    horizontal local coordinate is a two-term elementwise sum and the
+    vertical one passes through.
     """
-    rot = box.rotation()
-    o_local = (origin - np.asarray(box.center)) @ rot
-    d_local = dirs @ rot
-    h = np.asarray(box.half_extents)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    ox, oy, oz = (o - m for o, m in zip(origin, box.center))
+    hx, hy, hz = box.half_extents
+    low = high = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d_local
-        t1 = (-h - o_local) * inv
-        t2 = (h - o_local) * inv
-    # 0 * inf produces NaN exactly when the origin sits on a slab boundary
-    # of an axis-parallel ray; treat that as inside the slab.
-    t1[np.isnan(t1)] = -np.inf
-    t2[np.isnan(t2)] = np.inf
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
-    # column-wise: a reduction over a length-3 trailing axis is far slower
-    low = np.maximum(np.maximum(near[:, 0], near[:, 1]), near[:, 2])
-    high = np.minimum(np.minimum(far[:, 0], far[:, 1]), far[:, 2])
+        for o_local, d_local, h in (
+            (ox * c + oy * s, dx * c + dy * s, hx),
+            (oy * c - ox * s, dy * c - dx * s, hy),
+            (oz, dz, hz),
+        ):
+            inv = 1.0 / d_local
+            t1 = (-h - o_local) * inv
+            t2 = (h - o_local) * inv
+            # 0 * inf produces NaN exactly when the origin sits on a slab
+            # boundary of an axis-parallel ray; treat that as inside the slab.
+            t1[np.isnan(t1)] = -np.inf
+            t2[np.isnan(t2)] = np.inf
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2)
+            low = near if low is None else np.maximum(low, near)
+            high = far if high is None else np.minimum(high, far)
     t = np.where(low > _EPS, low, high)
     hit = (high >= low) & (high > _EPS) & (t > _EPS)
     return np.where(hit, t, np.inf)
@@ -267,6 +288,17 @@ def cast_rays(scene: Scene, view: int, u, v):
     hit (inf where nothing is hit); owners hold the object index into
     scene.objects, -2 for the floor, and -1 for no hit.
 
+    Every number a ray's result is computed from is an elementwise sum in a
+    fixed order, with no BLAS product: its world direction is
+    ((u - cx) / fx) * R[0][j] + ((v - cy) / fy) * R[1][j] + R[2][j], summed
+    left to right (geometry.matvec3 of R^T), the camera centre -R^T t is
+    summed the same way, and the slab locals are the two-term sums of
+    _ray_box_params.  A ray's bits therefore depend only on its own pixel,
+    never on the batch it is cast in or on the CPU's BLAS kernel, and any
+    window of a cast equals a fresh cast of that window.  For the same
+    reason the rays can be cast in blocks of about _BLOCK_RAYS along the
+    first axis, which keeps every temporary small.
+
     An object whose 8 corners all lie in front of the camera (z > _EPS) is
     tested only against the rays whose (u, v) falls in its corners' pixel
     bounding box widened by 1 px: such a box projects inside the convex hull
@@ -274,44 +306,62 @@ def cast_rays(scene: Scene, view: int, u, v):
     far above rounding error.  An object with a corner at or behind the
     camera plane (straddling it, behind it, or containing the camera) is
     tested against every ray.  Either way the result is the same as testing
-    every ray against every object.
+    every ray against every object.  The cull only selects rays, so its
+    corner bounds may use `@`.
     """
     pose = scene.pose(view)
     k = scene.intrinsics
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     shape = np.broadcast_shapes(u.shape, v.shape)
-    d_cam = np.empty(shape + (3,))
-    d_cam[..., 0] = (u - k.cx) / k.fx
-    d_cam[..., 1] = (v - k.cy) / k.fy
-    d_cam[..., 2] = 1.0
-    origin = pose.center()
-    dirs = (d_cam @ pose.rotation).reshape(-1, 3)  # rows transformed by R^T
-    best = np.full(len(dirs), np.inf)
-    owner = np.full(len(dirs), -1, dtype=int)
-    for idx, obj in enumerate(scene.objects):
+    u = u.reshape((1,) * (len(shape) - u.ndim) + u.shape)
+    v = v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
+    rot_t = pose.rotation.T
+    origin = tuple(-c for c in geometry.matvec3(rot_t, *pose.translation.tolist()))
+    bounds = []
+    for obj in scene.objects:
         cam = transform(pose, obj.box3.corners())
         if np.all(cam[:, 2] > _EPS):
             pu = k.fx * cam[:, 0] / cam[:, 2] + k.cx
             pv = k.fy * cam[:, 1] / cam[:, 2] + k.cy
-            on_u = (u >= pu.min() - 1.0) & (u <= pu.max() + 1.0)
-            on_v = (v >= pv.min() - 1.0) & (v <= pv.max() + 1.0)
-            rays = np.flatnonzero(on_u & on_v)
-            if rays.size == 0:
-                continue
+            bounds.append((pu.min() - 1.0, pu.max() + 1.0, pv.min() - 1.0, pv.max() + 1.0))
         else:
-            rays = np.arange(len(dirs))
-        t = _ray_box_params(origin, dirs[rays], obj.box3)
-        closer = t < best[rays]
-        best[rays[closer]] = t[closer]
-        owner[rays[closer]] = idx
-    dz = dirs[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_floor = (scene.floor_z - origin[2]) / dz
-    closer = (t_floor < best) & (t_floor > _EPS) & (np.abs(dz) > _EPS)
-    np.copyto(best, t_floor, where=closer)
-    owner[closer] = -2
-    return best.reshape(shape), owner.reshape(shape)
+            bounds.append(None)
+    depths = np.empty(shape)
+    owners = np.empty(shape, dtype=int)
+    step = max(1, _BLOCK_RAYS // max(1, math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        block = slice(start, start + step)
+        ub = u[block] if u.shape[0] > 1 else u
+        vb = v[block] if v.shape[0] > 1 else v
+        dx, dy, dz = (
+            d.reshape(-1)
+            for d in geometry.matvec3(rot_t, (ub - k.cx) / k.fx, (vb - k.cy) / k.fy, 1.0)
+        )
+        best = depths[block].reshape(-1)
+        owner = owners[block].reshape(-1)
+        best.fill(np.inf)
+        owner.fill(-1)
+        for idx, (obj, box) in enumerate(zip(scene.objects, bounds)):
+            if box is None:
+                rays = np.arange(dx.size)
+            else:
+                u_lo, u_hi, v_lo, v_hi = box
+                on_u = (ub >= u_lo) & (ub <= u_hi)
+                on_v = (vb >= v_lo) & (vb <= v_hi)
+                rays = np.flatnonzero(on_u & on_v)
+                if rays.size == 0:
+                    continue
+            t = _ray_box_params(origin, dx[rays], dy[rays], dz[rays], obj.box3)
+            closer = t < best[rays]
+            best[rays[closer]] = t[closer]
+            owner[rays[closer]] = idx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_floor = (scene.floor_z - origin[2]) / dz
+        closer = (t_floor < best) & (t_floor > _EPS) & (np.abs(dz) > _EPS)
+        np.copyto(best, t_floor, where=closer)
+        owner[closer] = -2
+    return depths, owners
 
 
 def cast_ray(scene: Scene, view: int, u: float, v: float):
@@ -324,12 +374,12 @@ def cast_ray(scene: Scene, view: int, u: float, v: float):
 
 
 def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):
-    """Integer pixel centers covered by a 2D box, clipped to the image.
+    """The pixel window a 2D box covers, clipped to the image.
 
-    Returns (i0, j0, cols, rows): cols is a (1, W) row of pixel columns and
-    rows an (H, 1) column of pixel rows, which broadcast to the window.
-    With max_per_axis set, rows and columns are subsampled by a deterministic
-    integer stride so neither axis exceeds that many samples.
+    Returns (rows, cols), two basic slices into an image-shaped array, or
+    None when the box covers no pixel centre.  With max_per_axis set, rows
+    and columns are subsampled by a deterministic integer stride so neither
+    axis exceeds that many samples.
     """
     i0 = max(int(math.ceil(box.umin - 0.5)), 0)
     i1 = min(int(math.floor(box.umax - 0.5)), width - 1)
@@ -341,9 +391,7 @@ def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):
     if max_per_axis is not None:
         step_i = max(1, -(-(i1 - i0 + 1) // max_per_axis))
         step_j = max(1, -(-(j1 - j0 + 1) // max_per_axis))
-    cols = np.arange(i0, i1 + 1, step_i)[None, :]
-    rows = np.arange(j0, j1 + 1, step_j)[:, None]
-    return i0, j0, cols, rows
+    return slice(j0, j1 + 1, step_j), slice(i0, i1 + 1, step_i)
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +420,30 @@ def _resolve_box2(ctx: ExecutionContext, call: ToolCall, view: int) -> geometry.
 
 
 def _grid_hits(ctx, view, box2, max_per_axis=None):
-    grid = _pixel_grid(
-        box2,
-        ctx.scene.intrinsics.width,
-        ctx.scene.intrinsics.height,
-        max_per_axis=max_per_axis,
-    )
-    if grid is None:
+    """Hits of the pixel window box2 covers: (i0, j0, ii, jj, depths, owners).
+
+    ii and jj are the window's pixel columns and rows; all four arrays have
+    the window's shape.  Once a full-frame window of the view has been cast,
+    every window, dense or subsampled, is read from that cast in ctx.cache
+    (see ExecutionContext); until then each window is cast afresh.
+    """
+    k = ctx.scene.intrinsics
+    window = _pixel_grid(box2, k.width, k.height, max_per_axis=max_per_axis)
+    if window is None:
         raise EmptyRegion("2D box covers no pixels")
-    i0, j0, cols, rows = grid
-    depths, owners = cast_rays(ctx.scene, view, cols + 0.5, rows + 0.5)
-    ii, jj = np.broadcast_arrays(cols, rows)
-    return i0, j0, ii, jj, depths, owners
+    rows, cols = window
+    jj, ii = np.ogrid[window]
+    key = ("hits", view)
+    frame = ctx.cache.get(key)
+    if frame is not None:
+        depths, owners = frame[0][window], frame[1][window]
+    else:
+        depths, owners = cast_rays(ctx.scene, view, ii + 0.5, jj + 0.5)
+        if depths.shape == (k.height, k.width):
+            depths.flags.writeable = owners.flags.writeable = False
+            ctx.cache[key] = (depths, owners)
+    ii, jj = np.broadcast_arrays(ii, jj)
+    return cols.start, rows.start, ii, jj, depths, owners
 
 
 def _majority_object(ctx, owners) -> int:
@@ -455,7 +515,7 @@ def _rle_encode(mask_flat: np.ndarray):
 def _tool_object_segmentation(ctx, call):
     view = _require_view(ctx, call)
     box2 = _resolve_box2(ctx, call, view)
-    i0, j0, ii, _jj, _depths, owners = _grid_hits(ctx, view, box2)
+    i0, j0, _ii, _jj, _depths, owners = _grid_hits(ctx, view, box2)
     major = _majority_object(ctx, owners)
     mask = owners == major
     h, w = mask.shape
@@ -478,7 +538,16 @@ def _tool_box_2d_to_box_3d(ctx, call):
     cam_pts = geometry.unproject(
         ii[mask] + 0.5, jj[mask] + 0.5, depths[mask], ctx.scene.intrinsics
     )
-    world_pts = transform(invert(pose), cam_pts)
+    # to the world frame as R^T p + (-R^T t), in the cast's fixed-order sums
+    rot_t = pose.rotation.T
+    center = geometry.matvec3(rot_t, *pose.translation.tolist())
+    world_pts = np.stack(
+        [
+            axis - c
+            for axis, c in zip(geometry.matvec3(rot_t, *cam_pts.T), center)
+        ],
+        axis=-1,
+    )
     return ObbValue(fit_obb(world_pts, min_extent=0.01))
 
 

@@ -605,7 +605,7 @@ class TestDataset:
         # CHANGES.md.
         manifest = generate_dataset(SceneParams(), DEFAULT_MIX, 64, 7, tmp_path / "g.jsonl")
         assert manifest["digest"] == (
-            "sha256:f483d566ee61e227909db60cd49cf3b37ce71ab45ed57a037fa530d728c92248"
+            "sha256:c86aa7a29a7b0a3060b596847ee09955840d5d5bae74c15a4f096453ebc1e1ad"
         )
 
     def test_records_have_ids_in_order(self, tmp_path):

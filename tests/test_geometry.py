@@ -22,7 +22,6 @@ from tiger.geometry import (
     obb_distance,
     point_obb_distance,
     project,
-    project_many,
     relative_camera_motion,
     transform,
     unproject,
@@ -81,9 +80,10 @@ class TestUnprojectProject:
         v = rng.uniform(0.0, intrinsics.height, size=2000)
         d = rng.uniform(0.05, 20.0, size=2000)
         cam = unproject(u, v, d, intrinsics)
-        uv = project_many(cam, intrinsics, Pose.identity())
-        err = np.max(np.abs(uv - np.stack([u, v], axis=-1)))
-        assert err < 1e-9
+        identity = Pose.identity()
+        for p, ui, vi in zip(cam, u, v):
+            ip = project(p, intrinsics, identity)
+            assert abs(ip.u - ui) < 1e-9 and abs(ip.v - vi) < 1e-9
 
 
 class TestPoseAlgebra:

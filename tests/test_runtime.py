@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from tiger.runtime import (
     SchemaError,
     TrajectoryRunError,
     UnknownTool,
+    _grid_hits,
     _pixel_grid,
     _rle_encode,
     cast_ray,
@@ -221,22 +223,32 @@ class TestDepthSensor:
 
 
 def reference_cast_rays(scene, view, u, v):
-    """Every ray against every object, reducing the slabs over the last axis."""
+    """Every ray against every object, reducing the slabs over the last axis.
+
+    Directions, camera centre and slab locals are written out as the same
+    left-to-right elementwise sums the caster makes, so no BLAS kernel
+    enters either side.
+    """
     pose = scene.pose(view)
     k = scene.intrinsics
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    d_cam = np.stack([(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones_like(u)], axis=-1)
-    origin = pose.center()
-    dirs = d_cam @ pose.rotation
+    a = (u - k.cx) / k.fx
+    b = (v - k.cy) / k.fy
+    R, t = pose.rotation, pose.translation
+    dirs = np.stack([a * R[0, j] + b * R[1, j] + R[2, j] for j in range(3)], axis=-1)
+    origin = [-(R[0, j] * t[0] + R[1, j] * t[1] + R[2, j] * t[2]) for j in range(3)]
     best = np.full(u.shape, np.inf)
     owner = np.full(u.shape, -1, dtype=int)
     for idx, obj in enumerate(scene.objects):
-        rot = obj.box3.rotation()
-        o_local = (origin - np.asarray(obj.box3.center)) @ rot
+        c, s = math.cos(obj.box3.yaw), math.sin(obj.box3.yaw)
+        ox, oy, oz = (o - m for o, m in zip(origin, obj.box3.center))
+        o_local = np.array([ox * c + oy * s, oy * c - ox * s, oz])
+        dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+        d_local = np.stack([dx * c + dy * s, dy * c - dx * s, dz], axis=-1)
         h = np.asarray(obj.box3.half_extents)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (dirs @ rot)
+            inv = 1.0 / d_local
             t1 = (-h - o_local) * inv
             t2 = (h - o_local) * inv
         t1 = np.where(np.isnan(t1), -np.inf, t1)
@@ -321,6 +333,17 @@ class TestCasterExactness:
         owners = assert_casts_equal(scn, 0, *full_frame(K))
         assert set(np.unique(owners)) == {0, 1}
 
+    @pytest.mark.parametrize("block_rays", [1, 700, 5000])
+    def test_blocks_do_not_change_the_result(self, monkeypatch, block_rays):
+        monkeypatch.setattr(tiger.runtime, "_BLOCK_RAYS", block_rays)
+        rng = np.random.default_rng(8)
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 3)
+        for view in range(len(scn.views)):
+            u = rng.uniform(-200.0, 900.0, 2000)
+            v = rng.uniform(-200.0, 700.0, 2000)
+            assert_casts_equal(scn, view, u, v)
+            assert_window_cast_equal(scn, view, Box2(100.3, 50.0, 420.0, 310.8))
+
     def test_input_shapes(self):
         scn = scene_with(self.NEAR)
         u, v = full_frame(K)
@@ -334,10 +357,11 @@ class TestCasterExactness:
 def assert_window_cast_equal(scene, view, box2, max_per_axis=None):
     """A pixel window cast as a row × column grid equals the reference on its meshgrid."""
     k = scene.intrinsics
-    _i0, _j0, cols, rows = _pixel_grid(box2, k.width, k.height, max_per_axis)
-    assert cols.ndim == rows.ndim == 2 and cols.shape[0] == rows.shape[1] == 1
-    u, v = np.meshgrid(cols[0] + 0.5, rows[:, 0] + 0.5)
-    depths, owners = cast_rays(scene, view, cols + 0.5, rows + 0.5)
+    rows, cols = _pixel_grid(box2, k.width, k.height, max_per_axis)
+    col_centres = np.arange(k.width)[cols] + 0.5
+    row_centres = np.arange(k.height)[rows] + 0.5
+    u, v = np.meshgrid(col_centres, row_centres)
+    depths, owners = cast_rays(scene, view, col_centres[None, :], row_centres[:, None])
     ref_depths, ref_owners = reference_cast_rays(scene, view, u, v)
     assert depths.shape == owners.shape == u.shape
     assert np.array_equal(depths, ref_depths)
@@ -398,13 +422,11 @@ class TestWindowCast:
             assert_window_cast_equal(scn, view % len(scn.views), box2, max_per_axis)
 
     def test_grid_hits_returns_the_meshgrid_of_the_window(self, ctx):
-        from tiger.runtime import _grid_hits
-
         for box2, max_per_axis in ((Box2(-3.2, 10.0, 200.0, 95.6), None), (FRAME, 64)):
             i0, j0, ii, jj, depths, _owners = _grid_hits(ctx, 0, box2, max_per_axis)
-            _i0, _j0, cols, rows = _pixel_grid(box2, 640, 480, max_per_axis)
-            want_ii, want_jj = np.meshgrid(cols[0], rows[:, 0])
-            assert (i0, j0) == (cols[0, 0], rows[0, 0])
+            rows, cols = _pixel_grid(box2, 640, 480, max_per_axis)
+            want_ii, want_jj = np.meshgrid(np.arange(640)[cols], np.arange(480)[rows])
+            assert (i0, j0) == (cols.start, rows.start) == (want_ii[0, 0], want_jj[0, 0])
             assert np.array_equal(ii, want_ii) and np.array_equal(jj, want_jj)
             assert ii.shape == jj.shape == depths.shape
 
@@ -495,7 +517,7 @@ class TestSegmentationAndBoxes:
         value = execute_tool(
             ctx, call("box_2d_to_box_3d", view=Scalar(0.0), box=Box2Value(box2))
         )
-        from tiger.runtime import _grid_hits, _majority_object
+        from tiger.runtime import _majority_object
 
         oracle_ctx = ExecutionContext(scene, "oracle")
         _i0, _j0, ii, jj, depths, owners = _grid_hits(oracle_ctx, 0, box2, max_per_axis=64)
@@ -790,6 +812,13 @@ class TestExecuteCalls:
             assert error is None and echoed == pose
 
     def test_failure_is_not_cached(self, ctx, monkeypatch):
+        executed = []
+
+        def recording(ctx, tool_call):
+            executed.append(tool_call)
+            return execute_tool(ctx, tool_call)
+
+        monkeypatch.setattr(tiger.runtime, "execute_tool", recording)
         casts = count_casts(monkeypatch)
         corner = call(
             "object_segmentation",
@@ -798,5 +827,101 @@ class TestExecuteCalls:
         )
         (first,), (second,) = execute_calls(ctx, [corner]), execute_calls(ctx, [corner])
         assert isinstance(first[1], EmptyRegion) and isinstance(second[1], EmptyRegion)
-        assert len(casts) == 2
-        assert ctx.cache == {} and ctx.bindings == {}
+        assert executed == [corner, corner]  # the failure was not stored: it ran again
+        assert (ctx.mode, corner) not in ctx.cache and ctx.bindings == {}
+        assert len(casts) == 2  # a window short of the full frame is not buffered
+        assert ctx.cache == {}
+
+
+FRAME_CALL = call("depth_sensor", view=Scalar(1.0), box=Box2Value(FRAME))
+
+
+@functools.cache
+def pool_scene(seed):
+    return generate_scene(SceneParams(object_count=(2, 5)), seed)
+
+
+class TestHitBuffer:
+    """A view's dense windows are cast once per cache and read from its buffer."""
+
+    @pytest.mark.parametrize("mode", ["oracle", "fitted"])
+    def test_depth_segmentation_and_lookup_cast_once(self, scene, monkeypatch, mode):
+        box2 = scene.project_box(scene.objects[0], 1)
+        calls = [
+            FRAME_CALL,
+            call("object_segmentation", view=Scalar(1.0), box=Box2Value(box2)),
+            call("box_2d_to_box_3d", view=Scalar(1.0), label=Text("crate")),
+        ]
+        fresh = [execute_tool(ExecutionContext(scene, mode), c) for c in calls]
+        casts = count_casts(monkeypatch)
+        outcomes = list(execute_calls(ExecutionContext(scene, mode), calls))
+        assert casts == [1]
+        assert [value for value, _ in outcomes] == fresh
+
+    def test_subsampled_lookups_leave_no_buffer(self, ctx, scene, monkeypatch):
+        casts = count_casts(monkeypatch)
+        for view in (0, 1):
+            for label in ("crate", "mug"):
+                execute_tool(ctx, call("box_2d_to_box_3d", view=Scalar(view), label=Text(label)))
+        execute_tool(ctx, call("box_2d_to_box_3d", view=Scalar(0.0), box=Box2Value(FRAME)))
+        assert len(casts) == 5
+        assert not any(key[0] == "hits" for key in ctx.cache)
+
+    def test_only_a_full_frame_makes_a_buffer(self, ctx, monkeypatch):
+        casts = count_casts(monkeypatch)
+        inner = Box2Value(Box2(10.0, 20.0, 300.0, 200.0))
+        execute_tool(ctx, call("depth_sensor", view=Scalar(1.0), box=inner))
+        assert ("hits", 1) not in ctx.cache
+        execute_tool(ctx, FRAME_CALL)
+        assert ctx.cache[("hits", 1)][0].shape == (480, 640)
+        execute_tool(ctx, call("object_segmentation", view=Scalar(1.0), box=inner))
+        assert casts == [1, 1]
+
+    def test_buffered_reads_are_read_only(self, ctx):
+        execute_tool(ctx, FRAME_CALL)
+        *_, depths, owners = _grid_hits(ctx, 1, Box2(10.0, 20.0, 300.0, 200.0))
+        assert not depths.flags.writeable and not owners.flags.writeable
+        assert np.shares_memory(depths, ctx.cache[("hits", 1)][0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(
+                    st.just((0.0, 0.0, 640.0, 480.0)),
+                    st.tuples(
+                        st.floats(-100.0, 600.0),
+                        st.floats(-100.0, 450.0),
+                        st.floats(0.5, 500.0),
+                        st.floats(0.5, 400.0),
+                    ).map(lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3])),
+                ),
+                st.sampled_from([None, None, 64, 7]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(
+        seed=1,
+        windows=[
+            (1, (0.0, 0.0, 640.0, 480.0), None),
+            (1, (100.2, 50.0, 400.0, 300.9), None),
+            (1, (-20.0, 60.0, 700.0, 200.0), 64),
+            (2, (100.2, 50.0, 400.0, 300.9), 7),
+        ],
+    )
+    def test_buffered_windows_equal_fresh_casts(self, seed, windows):
+        scn = pool_scene(seed)
+        ctx = ExecutionContext(scn, "oracle")
+        for view, corners, max_per_axis in windows:
+            view %= len(scn.views)
+            try:
+                *_, ii, jj, depths, owners = _grid_hits(ctx, view, Box2(*corners), max_per_axis)
+            except EmptyRegion:
+                continue
+            want_depths, want_owners = cast_rays(scn, view, ii + 0.5, jj + 0.5)
+            assert depths.tobytes() == want_depths.tobytes()
+            assert np.array_equal(owners, want_owners)
