@@ -311,26 +311,18 @@ def derive_seed(master_seed: int, *path) -> int:
 
 def _look_at(center, target) -> Pose:
     """Camera-from-world pose at `center` looking toward `target` (+Y down)."""
-    center = np.asarray(center, dtype=float)
-    forward = np.asarray(target, dtype=float) - center
-    norm = np.linalg.norm(forward)
+    forward = [float(t) - float(c) for t, c in zip(target, center)]
+    norm = geometry.length(forward)
     if norm < 1e-9:
         raise ValueError("camera center coincides with the look-at target")
-    z = forward / norm
-    lateral = _cross(z.tolist(), geometry.WORLD_UP)
-    if np.linalg.norm(lateral) < 1e-9:
-        lateral = np.array([1.0, 0.0, 0.0])
-    x = lateral / np.linalg.norm(lateral)
-    y = _cross(z.tolist(), x.tolist())
-    rotation = np.stack([x, y, z])
-    return Pose(rotation, -rotation @ center)
-
-
-def _cross(a, b) -> np.ndarray:
-    """np.cross of two 3-vectors: the same rounded products, subtracted alike."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    z = [f / norm for f in forward]
+    lateral = geometry.cross3(z, geometry.WORLD_UP)
+    norm = geometry.length(lateral)
+    if norm < 1e-9:
+        lateral, norm = [1.0, 0.0, 0.0], 1.0
+    x = [a / norm for a in lateral]
+    rotation = [x, geometry.cross3(z, x), z]
+    return Pose(rotation, [-c for c in geometry.matvec3(rotation, *center)])
 
 
 def _fov_lateral_cap(intr: CameraIntrinsics, z: np.ndarray) -> np.ndarray:

@@ -116,8 +116,8 @@ class Pose:
         return m
 
     def center(self) -> np.ndarray:
-        """Camera center expressed in the world frame."""
-        return -self.rotation.T @ self.translation
+        """Camera center expressed in the world frame: -R^T t."""
+        return np.array([-c for c in matvec3(self.rotation.T, *self.translation.tolist())])
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         return (
@@ -137,27 +137,70 @@ class Pose:
 
 
 def invert(a: Pose) -> Pose:
-    return Pose(a.rotation.T, -(a.rotation.T @ a.translation))
+    return Pose(a.rotation.T, a.center())
+
+
+# ---------------------------------------------------------------------------
+# Fixed-order arithmetic: each sum reaching a dataset byte, a tool result or a
+# reward is elementwise products added left to right, which round alike on any
+# CPU; a BLAS product (`@`, np.dot, np.linalg) may block or fuse a sum
+# differently per batch size or kernel.
+# ---------------------------------------------------------------------------
 
 
 def matvec3(m, x, y, z):
-    """m @ (x, y, z) with each row summed left to right, one element at a time.
-
-    m is 3x3; x, y and z are scalars or arrays that broadcast.  Returns the
-    three components.  Unlike `@`, whose BLAS kernel may block or fuse a sum
-    differently for another batch size or CPU, each output element here is
-    fixed by its own inputs.
-    """
-    m = np.asarray(m, dtype=float).tolist()
-    return tuple(row[0] * x + row[1] * y + row[2] * z for row in m)
+    """m @ (x, y, z): m is a 3x3 array or rows of floats; x, y and z broadcast."""
+    rows = m.tolist() if isinstance(m, np.ndarray) else m
+    return tuple(row[0] * x + row[1] * y + row[2] * z for row in rows)
 
 
 def transform(a: Pose, p) -> np.ndarray:
     """Apply the pose to one point (3,) or a stack of points (N, 3)."""
     p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        return a.rotation @ p + a.translation
-    return p @ a.rotation.T + a.translation
+    R = a.rotation
+    return p[..., 0:1] * R[:, 0] + p[..., 1:2] * R[:, 1] + p[..., 2:3] * R[:, 2] + a.translation
+
+
+def yaw_local(x, y, z, yaw: float):
+    """World-frame vector (x, y, z) along the axes of a frame yawed by yaw about +Z."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return x * c + y * s, y * c - x * s, z
+
+
+def sum_of_products(a, b) -> float:
+    """a[0] * b[0] + a[1] * b[1] + ... in Python floats, added left to right from 0.0."""
+    total = 0.0
+    for x, y in zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
+        total += x * y
+    return total
+
+
+def length(v) -> float:
+    """Euclidean length of a float sequence, its squares added left to right."""
+    return math.sqrt(sum_of_products(v, v))
+
+
+def matmul(a, b) -> np.ndarray:
+    """a @ b for a 2-D a and a 1-D or 2-D b, each entry added left to right from 0.0."""
+    cols = b if b.ndim == 2 else b[:, None]
+    out = np.zeros((a.shape[0], cols.shape[1]))
+    for k in range(a.shape[1]):
+        out = out + a[:, k : k + 1] * cols[k]
+    return out if b.ndim == 2 else out[:, 0]
+
+
+def cross3(a, b) -> list:
+    """np.cross of two 3-vectors: the same rounded products, subtracted alike."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def inv3(m) -> tuple:
+    """(determinant, inverse or None if singular) of a 3x3 matrix, by cofactors."""
+    r0, r1, r2 = np.asarray(m, dtype=float).tolist()
+    cofactors = (cross3(r1, r2), cross3(r2, r0), cross3(r0, r1))
+    det = sum_of_products(r0, cofactors[0])
+    return det, (np.array(cofactors).T / det if det != 0.0 else None)
 
 
 @dataclass(frozen=True)
@@ -190,16 +233,20 @@ class Box2:
             raise GeometryError("box must have positive extent")
 
 
-# sign of each box corner along the local axes, x slowest and z fastest
-_CORNER_SIGNS = np.array(
-    [
-        [sx, sy, sz]
-        for sx in (-1.0, 1.0)
-        for sy in (-1.0, 1.0)
-        for sz in (-1.0, 1.0)
-    ]
-)
-_CORNER_SIGNS.setflags(write=False)
+def _corner_map(box: OrientedBox3, rotation, translation) -> list:
+    """Each axis's 8 corner coordinates under p -> R p + t (R as rows), x slowest, z fastest.
+
+    A coordinate is (R c + t) +- hx R e_x +- hy R e_y +- hz R e_z, added left
+    to right in Python floats, with e_* the box's axes.
+    """
+    hx, hy, hz = box.half_extents
+    axes = []
+    for row, o, t in zip(rotation, matvec3(rotation, *box.center), translation):
+        ex, ey, ez = yaw_local(*row, box.yaw)
+        xs = [o + t - hx * ex, o + t + hx * ex]
+        xys = [a + d for a in xs for d in (-hy * ey, hy * ey)]
+        axes.append([a + d for a in xys for d in (-hz * ez, hz * ez)])
+    return axes
 
 
 @dataclass(frozen=True)
@@ -227,13 +274,8 @@ class OrientedBox3:
         object.__setattr__(self, "half_extents", h)
         object.__setattr__(self, "yaw", yaw)
 
-    def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
     def corners(self) -> np.ndarray:
-        local = _CORNER_SIGNS * np.asarray(self.half_extents)
-        return local @ self.rotation().T + np.asarray(self.center)
+        return np.array(_corner_map(self, np.eye(3).tolist(), (0.0, 0.0, 0.0))).T
 
     @property
     def zmin(self) -> float:
@@ -245,8 +287,8 @@ class OrientedBox3:
 
     def contains(self, points, tol: float = 1e-9) -> bool:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        local = (pts - np.asarray(self.center)) @ self.rotation()
-        return bool(np.all(np.abs(local) <= np.asarray(self.half_extents) + tol))
+        local = yaw_local(*(pts[:, i] - self.center[i] for i in range(3)), self.yaw)
+        return all(bool(np.all(np.abs(x) <= h + tol)) for x, h in zip(local, self.half_extents))
 
     def canonical(self) -> "OrientedBox3":
         """Equivalent box with yaw folded into [-pi/4, pi/4).
@@ -294,6 +336,16 @@ def project(point_world, intr: CameraIntrinsics, pose: Pose) -> ImagePoint:
     return ImagePoint(u, v, u / intr.width, v / intr.height)
 
 
+def corner_pixel_bounds(box: OrientedBox3, intr: CameraIntrinsics, pose: Pose):
+    """(umin, umax, vmin, vmax) of the projected corners; None if a corner's camera z <= 1e-9."""
+    xs, ys, zs = _corner_map(box, pose.rotation.tolist(), pose.translation.tolist())
+    if not min(zs) > 1e-9:
+        return None
+    us = [intr.fx * x / z + intr.cx for x, z in zip(xs, zs)]
+    vs = [intr.fy * y / z + intr.cy for y, z in zip(ys, zs)]
+    return min(us), max(us), min(vs), max(vs)
+
+
 # ---------------------------------------------------------------------------
 # Camera motion
 # ---------------------------------------------------------------------------
@@ -316,7 +368,7 @@ def relative_camera_motion(pose1: Pose, pose2: Pose, pivot):
     d1 = pose1.center() - pivot
     d2 = pose2.center() - pivot
     for d in (d1, d2):
-        if np.linalg.norm(d) < 1e-12:
+        if math.hypot(*d.tolist()) < 1e-12:
             raise DegeneratePivot("camera center coincides with pivot")
         if np.hypot(d[0], d[1]) < 1e-12:
             raise DegeneratePivot("camera center directly above pivot")
@@ -386,16 +438,14 @@ def obb_distance(a: OrientedBox3, b: OrientedBox3) -> float:
 
 def point_obb_distance(p, box: OrientedBox3) -> float:
     """Distance from a point to a solid oriented box (0 inside)."""
-    local = (np.asarray(p, dtype=float) - np.asarray(box.center)) @ box.rotation()
-    h = np.asarray(box.half_extents)
-    excess = np.maximum(np.abs(local) - h, 0.0)
-    return float(np.linalg.norm(excess))
+    local = yaw_local(*(float(x) - c for x, c in zip(p, box.center)), box.yaw)
+    return length([max(abs(x) - h, 0.0) for x, h in zip(local, box.half_extents)])
 
 
 def project_half_extent(box: OrientedBox3, direction) -> float:
     """Half extent of the box projected onto a world-frame unit direction."""
-    u = np.asarray(direction, dtype=float)
-    return float(np.abs(u @ box.rotation()) @ np.asarray(box.half_extents))
+    local = yaw_local(*np.asarray(direction, dtype=float).tolist(), box.yaw)
+    return sum_of_products([abs(x) for x in local], box.half_extents)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +490,13 @@ def fit_obb(points, min_extent: float = 0.01) -> OrientedBox3:
         k = math.floor((yaw + math.pi / 4) / (math.pi / 2))
         yaw -= k * (math.pi / 2)
 
-    c, s = math.cos(yaw), math.sin(yaw)
-    xl = xy[:, 0] * c + xy[:, 1] * s
-    yl = -xy[:, 0] * s + xy[:, 1] * c
+    xl, yl, _ = yaw_local(xy[:, 0], xy[:, 1], 0.0, yaw)
     mid_x = (xl.min() + xl.max()) / 2.0
     mid_y = (yl.min() + yl.max()) / 2.0
     hx = max((xl.max() - xl.min()) / 2.0, min_extent / 2.0)
     hy = max((yl.max() - yl.min()) / 2.0, min_extent / 2.0)
     hz = max((zmax - zmin) / 2.0, min_extent / 2.0)
+    c, s = math.cos(yaw), math.sin(yaw)
     center = (
         mid_x * c - mid_y * s,
         mid_x * s + mid_y * c,

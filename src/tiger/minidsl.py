@@ -331,24 +331,19 @@ def _index(x) -> int:
 
 
 def _b_matmul(a, b):
-    if isinstance(a, np.ndarray) and a.ndim == 2:
-        if isinstance(b, np.ndarray) and b.ndim == 2:
-            if a.shape[1] != b.shape[0]:
-                raise TypeMismatch("matmul shape mismatch")
-            return a @ b
-        if isinstance(b, np.ndarray) and b.ndim == 1:
-            if a.shape[1] != b.shape[0]:
-                raise TypeMismatch("matmul shape mismatch")
-            return a @ b
-    raise TypeMismatch("matmul expects matrix x matrix or matrix x vector")
+    arrays = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+    if not (arrays and a.ndim == 2 and b.ndim in (1, 2)):
+        raise TypeMismatch("matmul expects matrix x matrix or matrix x vector")
+    if a.shape[1] != b.shape[0]:
+        raise TypeMismatch("matmul shape mismatch")
+    return geometry.matmul(a, b)
 
 
 def _b_inv3(a):
-    m = _mat(a, (3, 3))
-    det = float(np.linalg.det(m))
+    det, inverse = geometry.inv3(_mat(a, (3, 3)))
     if abs(det) < 1e-12:
         raise SingularMatrix("3x3 matrix is singular")
-    return np.linalg.inv(m)
+    return inverse
 
 
 def _b_inv_pose(a):
@@ -443,8 +438,8 @@ def _b_rotz(theta):
 # name -> (min arity, max arity, implementation); every entry is a pure
 # function of its arguments: no I/O, no clock, no randomness.
 BUILTINS = {
-    "norm": (1, 1, lambda v: float(np.linalg.norm(_vec(v)))),
-    "dot": (2, 2, lambda a, b: float(_vec(a) @ _vec(b, _vec(a).shape[0]))),
+    "norm": (1, 1, lambda v: geometry.length(_vec(v))),
+    "dot": (2, 2, lambda a, b: geometry.sum_of_products(_vec(a), _vec(b, _vec(a).shape[0]))),
     "cross": (2, 2, lambda a, b: np.cross(_vec(a, 3), _vec(b, 3))),
     "matmul": (2, 2, _b_matmul),
     "transpose": (1, 1, lambda a: _mat(a).T.copy()),

@@ -18,7 +18,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from . import runtime
+from . import geometry, runtime
 from .runtime import ExecutionContext, check_call, execute_calls
 from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
 from .trajectory import (
@@ -204,7 +204,7 @@ def _distance(pred: Value, gt: Value):
     b = _flatten(gt)
     if a is None or b is None or a.shape != b.shape:
         return None
-    return float(np.linalg.norm(a - b))
+    return geometry.length(a - b)
 
 
 def _continuous_score(pred: Value, gt: Value, scale: float, distance: float | None) -> float:

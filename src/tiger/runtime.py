@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, minidsl
-from .geometry import OrientedBox3, fit_obb, project, transform
+from .geometry import OrientedBox3, fit_obb, invert, project, transform, yaw_local
 from .scene import Scene, UnknownView
 from .trajectory import (
     Box2Value,
@@ -249,20 +249,14 @@ def _ray_box_params(origin, dx, dy, dz, box: OrientedBox3):
     """Slab-method entry parameter for rays against one oriented box.
 
     Rays are origin + t * (dx, dy, dz) with t equal to camera z-depth;
-    returns inf where the ray misses.  The box only yaws about +Z, so each
-    horizontal local coordinate is a two-term elementwise sum and the
-    vertical one passes through.
+    returns inf where the ray misses.  The box only yaws about +Z, so the
+    origin and the directions reach its axes through geometry.yaw_local.
     """
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    ox, oy, oz = (o - m for o, m in zip(origin, box.center))
-    hx, hy, hz = box.half_extents
+    o_locals = yaw_local(*(o - m for o, m in zip(origin, box.center)), box.yaw)
+    d_locals = yaw_local(dx, dy, dz, box.yaw)
     low = high = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        for o_local, d_local, h in (
-            (ox * c + oy * s, dx * c + dy * s, hx),
-            (oy * c - ox * s, dy * c - dx * s, hy),
-            (oz, dz, hz),
-        ):
+        for o_local, d_local, h in zip(o_locals, d_locals, box.half_extents):
             inv = 1.0 / d_local
             t1 = (-h - o_local) * inv
             t2 = (h - o_local) * inv
@@ -288,26 +282,21 @@ def cast_rays(scene: Scene, view: int, u, v):
     hit (inf where nothing is hit); owners hold the object index into
     scene.objects, -2 for the floor, and -1 for no hit.
 
-    Every number a ray's result is computed from is an elementwise sum in a
-    fixed order, with no BLAS product: its world direction is
-    ((u - cx) / fx) * R[0][j] + ((v - cy) / fy) * R[1][j] + R[2][j], summed
-    left to right (geometry.matvec3 of R^T), the camera centre -R^T t is
-    summed the same way, and the slab locals are the two-term sums of
-    _ray_box_params.  A ray's bits therefore depend only on its own pixel,
-    never on the batch it is cast in or on the CPU's BLAS kernel, and any
-    window of a cast equals a fresh cast of that window.  For the same
-    reason the rays can be cast in blocks of about _BLOCK_RAYS along the
-    first axis, which keeps every temporary small.
+    Every number a ray's result is computed from is one of geometry's
+    fixed-order elementwise sums, with no BLAS product: the direction
+    matvec3(R^T, (u - cx) / fx, (v - cy) / fy, 1), the centre pose.center()
+    and the slab locals yaw_local.  A ray's bits therefore depend only on its
+    own pixel, never on the batch it is cast in or on the CPU, and any window
+    of a cast equals a fresh cast of that window; so the rays can be cast in
+    blocks of about _BLOCK_RAYS along the first axis, which keeps every
+    temporary small.
 
-    An object whose 8 corners all lie in front of the camera (z > _EPS) is
-    tested only against the rays whose (u, v) falls in its corners' pixel
-    bounding box widened by 1 px: such a box projects inside the convex hull
-    of its projected corners, so no other ray can hit it, and the margin is
-    far above rounding error.  An object with a corner at or behind the
-    camera plane (straddling it, behind it, or containing the camera) is
-    tested against every ray.  Either way the result is the same as testing
-    every ray against every object.  The cull only selects rays, so its
-    corner bounds may use `@`.
+    An object whose corners all lie in front of the camera is tested only
+    against the rays within 1 px of its corners' pixel bounds
+    (geometry.corner_pixel_bounds, as in Scene.project_box): it projects
+    inside the hull of its projected corners, and 1 px is far above rounding
+    error.  Any other object is tested against every ray.  Either way the
+    result is that of testing every ray against every object.
     """
     pose = scene.pose(view)
     k = scene.intrinsics
@@ -317,16 +306,8 @@ def cast_rays(scene: Scene, view: int, u, v):
     u = u.reshape((1,) * (len(shape) - u.ndim) + u.shape)
     v = v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
     rot_t = pose.rotation.T
-    origin = tuple(-c for c in geometry.matvec3(rot_t, *pose.translation.tolist()))
-    bounds = []
-    for obj in scene.objects:
-        cam = transform(pose, obj.box3.corners())
-        if np.all(cam[:, 2] > _EPS):
-            pu = k.fx * cam[:, 0] / cam[:, 2] + k.cx
-            pv = k.fy * cam[:, 1] / cam[:, 2] + k.cy
-            bounds.append((pu.min() - 1.0, pu.max() + 1.0, pv.min() - 1.0, pv.max() + 1.0))
-        else:
-            bounds.append(None)
+    origin = pose.center().tolist()
+    bounds = [geometry.corner_pixel_bounds(obj.box3, k, pose) for obj in scene.objects]
     depths = np.empty(shape)
     owners = np.empty(shape, dtype=int)
     step = max(1, _BLOCK_RAYS // max(1, math.prod(shape[1:])))
@@ -347,8 +328,8 @@ def cast_rays(scene: Scene, view: int, u, v):
                 rays = np.arange(dx.size)
             else:
                 u_lo, u_hi, v_lo, v_hi = box
-                on_u = (ub >= u_lo) & (ub <= u_hi)
-                on_v = (vb >= v_lo) & (vb <= v_hi)
+                on_u = (ub >= u_lo - 1.0) & (ub <= u_hi + 1.0)
+                on_v = (vb >= v_lo - 1.0) & (vb <= v_hi + 1.0)
                 rays = np.flatnonzero(on_u & on_v)
                 if rays.size == 0:
                     continue
@@ -534,20 +515,8 @@ def _tool_box_2d_to_box_3d(ctx, call):
     if ctx.mode == "oracle":
         return ObbValue(ctx.scene.objects[major].box3)
     mask = owners == major
-    pose = ctx.scene.pose(view)
-    cam_pts = geometry.unproject(
-        ii[mask] + 0.5, jj[mask] + 0.5, depths[mask], ctx.scene.intrinsics
-    )
-    # to the world frame as R^T p + (-R^T t), in the cast's fixed-order sums
-    rot_t = pose.rotation.T
-    center = geometry.matvec3(rot_t, *pose.translation.tolist())
-    world_pts = np.stack(
-        [
-            axis - c
-            for axis, c in zip(geometry.matvec3(rot_t, *cam_pts.T), center)
-        ],
-        axis=-1,
-    )
+    cam_pts = geometry.unproject(ii[mask] + 0.5, jj[mask] + 0.5, depths[mask], ctx.scene.intrinsics)
+    world_pts = transform(invert(ctx.scene.pose(view)), cam_pts)
     return ObbValue(fit_obb(world_pts, min_extent=0.01))
 
 

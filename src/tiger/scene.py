@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import Box2, CameraIntrinsics, OrientedBox3, Pose
+from .geometry import Box2, CameraIntrinsics, OrientedBox3, Pose, corner_pixel_bounds
 
 
 class UnknownView(ValueError):
@@ -72,21 +70,15 @@ class Scene:
         Returns None when any corner is behind the camera or the projection
         misses the image entirely; the result is clipped to image bounds.
         """
-        pose = self.pose(view)
-        corners = obj.box3.corners()
-        cam = corners @ pose.rotation.T + pose.translation
-        if np.any(cam[:, 2] <= 1e-9):
-            return None
         k = self.intrinsics
-        u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
-        v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
-        umin = max(float(u.min()), 0.0)
-        vmin = max(float(v.min()), 0.0)
-        umax = min(float(u.max()), float(k.width))
-        vmax = min(float(v.max()), float(k.height))
-        if umin >= umax or vmin >= vmax:
+        bounds = corner_pixel_bounds(obj.box3, k, self.pose(view))
+        if bounds is None:
             return None
-        return Box2(umin, vmin, umax, vmax)
+        umin, umax, vmin, vmax = bounds
+        box = (max(umin, 0.0), max(vmin, 0.0), min(umax, float(k.width)), min(vmax, float(k.height)))
+        if box[0] >= box[2] or box[1] >= box[3]:
+            return None
+        return Box2(*box)
 
     # -- serialization ------------------------------------------------------
 

@@ -54,6 +54,12 @@ def look_at(center, target):
     return Pose(rotation, -rotation @ center)
 
 
+def box_rotation(box: OrientedBox3) -> np.ndarray:
+    """World-from-box rotation: the yaw about +Z as a 3x3 matrix."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def surface_points(box: OrientedBox3, per_axis: int = 16) -> np.ndarray:
     """Grid samples on all six faces of a box, in world coordinates."""
     h = np.asarray(box.half_extents)
@@ -69,7 +75,7 @@ def surface_points(box: OrientedBox3, per_axis: int = 16) -> np.ndarray:
             pts[:, others[1]] = g1.ravel()
             faces.append(pts)
     local = np.concatenate(faces)
-    return local @ box.rotation().T + np.asarray(box.center)
+    return local @ box_rotation(box).T + np.asarray(box.center)
 
 
 def sampling_resolution(box: OrientedBox3, per_axis: int = 16) -> float:
@@ -86,10 +92,10 @@ def sampled_box_distance(a: OrientedBox3, b: OrientedBox3, per_axis: int = 16) -
 
     pa = surface_points(a, per_axis)
     pb = surface_points(b, per_axis)
-    la = (pa - np.asarray(b.center)) @ b.rotation()
+    la = (pa - np.asarray(b.center)) @ box_rotation(b)
     if np.any(np.all(np.abs(la) <= np.asarray(b.half_extents), axis=1)):
         return 0.0
-    lb = (pb - np.asarray(a.center)) @ a.rotation()
+    lb = (pb - np.asarray(a.center)) @ box_rotation(a)
     if np.any(np.all(np.abs(lb) <= np.asarray(a.half_extents), axis=1)):
         return 0.0
     tree = cKDTree(pb)

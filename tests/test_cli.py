@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,8 +12,21 @@ import pytest
 import tiger
 import tiger.generator
 from tiger.cli import main
-from tiger.generator import SceneParams, generate_scene
-from tiger.trajectory import Text, parse_trajectory
+from tiger.generator import DEFAULT_MIX, SceneParams, generate_scene
+from tiger.trajectory import (
+    Answer,
+    Choice,
+    Matrix,
+    Point2,
+    Point3,
+    Scalar,
+    Text,
+    ToolCall,
+    Trajectory,
+    ValueList,
+    parse_trajectory,
+    render_trajectory,
+)
 
 CONFIG = {
     "count": 6,
@@ -572,6 +586,103 @@ class TestScoreGroupCache:
         assert interleaved == alone
 
 
+def _mutated(kind: str, trajectory: str, scene: dict) -> str:
+    """One candidate for a record: its trajectory with one kind of mistake."""
+    steps = list(parse_trajectory(trajectory).steps)
+    calls = [i for i, s in enumerate(steps) if isinstance(s, ToolCall)]
+
+    def first_with(key):
+        return next((i for i in calls if steps[i].arg(key) is not None), None)
+
+    def replace(i, key, value):
+        args = tuple((k, value if k == key else v) for k, v in steps[i].args)
+        steps[i] = ToolCall(steps[i].name, args)
+
+    answer = steps[-1]
+    point_at, label_at, view_at = first_with("point"), first_with("label"), first_with("view")
+    if kind == "param":  # a nudged point, else another object's label, else another view
+        if point_at is not None:
+            point = steps[point_at].arg("point")
+            nudged = {f: getattr(point, f) + 0.01 for f in ("x", "y", "z") if hasattr(point, f)}
+            replace(point_at, "point", dataclasses.replace(point, **nudged))
+        elif label_at is not None:
+            labels = sorted(o["label"] for o in scene["objects"])
+            k = labels.index(steps[label_at].arg("label").text)
+            replace(label_at, "label", Text(labels[(k + 1) % len(labels)]))
+        else:
+            view = steps[view_at].arg("view").value
+            replace(view_at, "view", Scalar((view + 1) % len(scene["views"])))
+    elif kind == "answer":
+        value = answer.value
+        if isinstance(value, Choice):
+            value = Choice("B" if value.letter == "A" else "A")
+        elif isinstance(value, Scalar):
+            value = Scalar(value.value * 1.1, value.unit)
+        elif isinstance(value, Point3):
+            value = Point3(value.x + 0.05, value.y, value.z)
+        elif isinstance(value, ValueList):
+            value = ValueList(tuple(Point2(p.x + 0.05, p.y, p.pixel) for p in value.items))
+        elif isinstance(value, Matrix):
+            value = Matrix(((*value.rows[0][:-1], value.rows[0][-1] + 0.05), *value.rows[1:]))
+        steps[-1] = Answer(value, answer.format)
+    elif kind == "format":  # a value under another answer tag
+        tag = "text" if answer.format != "text" else "scalar"
+        steps[-1] = Answer(answer.value, tag)
+    elif kind == "code":
+        code = [i for i in calls if steps[i].name == "code_executor"]
+        if code:
+            program = steps[code[-1]].arg("program").text
+            replace(code[-1], "program", Text(f"{program} * 2"))
+    elif kind == "unknown_label":
+        if label_at is None:  # lead with a lookup, shifting every later r1..rN binding
+            lookup = (("view", Scalar(0.0)), ("label", Text("unicorn")))
+            steps.insert(calls[0], ToolCall("box_2d_to_box_3d", lookup))
+        else:
+            replace(label_at, "label", Text("unicorn"))
+    elif kind == "bad_view":
+        replace(view_at, "view", Scalar(float(len(scene["views"]) + 3)))
+    text = render_trajectory(Trajectory(tuple(steps)))
+    parse_trajectory(text)  # one unparsable candidate would abort the whole call
+    return text
+
+
+class TestScoreReportPin:
+    """The reward contract: a `tiger score` report over fixed candidates, byte for byte.
+
+    Eight generated records, one of each family, each scored as an exact
+    copy and with one param, answer, format, code, unknown-label or bad-view
+    mistake.
+    A change to any tool, reward or diagnostic moves one of these digests;
+    a deliberate change updates it and says why in CHANGES.md.
+    """
+
+    KINDS = ("exact", "param", "answer", "format", "code", "unknown_label", "bad_view")
+    REPORT_DIGESTS = {
+        "fitted": "54222ad85dcd57594edd1642c30a5e4b1d6697329b88f31b4939482cc3bd4e0b",
+        "oracle": "368d3b1c8070a70710c59536e937e8c5063a112a6de4f4e73e3616ee596d8678",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(REPORT_DIGESTS))
+    def test_report_is_pinned(self, tmp_path, mode):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"count": 8, "seed": 29}))
+        dataset = tmp_path / "data.jsonl"
+        assert main(["generate", "--config", str(config), "--out", str(dataset)]) == 0
+        records = [json.loads(line) for line in dataset.read_text().splitlines()]
+        assert sorted(r["family"] for r in records) == sorted(DEFAULT_MIX)
+        candidates = tmp_path / "candidates.jsonl"
+        candidates.write_text("".join(
+            json.dumps({"id": r["id"], "trajectory": _mutated(kind, r["trajectory"], r["scene"])}) + "\n"
+            for r in records
+            for kind in self.KINDS
+        ))
+        report = tmp_path / "report.jsonl"
+        args = ["--dataset", str(dataset), "--candidates", str(candidates), "--mode", mode]
+        assert main(["score", *args, "--out", str(report)]) == 0
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == self.REPORT_DIGESTS[mode]
+
+
 class TestRun:
     def test_replay_is_byte_identical(self, tmp_path, dataset):
         record = json.loads(dataset.read_text().splitlines()[0])
@@ -669,9 +780,8 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", sorted(FULL_FRAME_DIGESTS))
     def test_stored_scene_full_frame_outputs_are_pinned(self, tmp_path, capsys, mode):
-        # Scene generation still multiplies through BLAS; a stored scene
-        # leaves only the casts, masks and fits, whose arithmetic is the
-        # same under every OpenBLAS kernel, so this pin holds on any CPU.
+        # A stored scene leaves only the casts, masks and fits, so a change
+        # to scene sampling alone does not move this pin.
         digest = self.full_frame_digest(tmp_path, capsys, self.FULL_FRAME_SCENE, mode)
         assert digest == self.FULL_FRAME_DIGESTS[mode]
 

@@ -194,19 +194,24 @@ def test_draws_read_the_stream_of_scalar_uniform_draws():
 
 
 def _reference_look_at(center, target) -> Pose:
-    center = np.asarray(center, dtype=float)
-    forward = np.asarray(target, dtype=float) - center
-    norm = np.linalg.norm(forward)
+    """The look-at pose, its norms and -R c written out as left-to-right sums.
+
+    No BLAS product enters, so the reference and the sampler agree under
+    every OpenBLAS kernel.
+    """
+    c = [float(x) for x in center]
+    forward = [float(t) - x for t, x in zip(target, c)]
+    norm = math.sqrt(0.0 + forward[0] * forward[0] + forward[1] * forward[1] + forward[2] * forward[2])
     if norm < 1e-9:
         raise ValueError("camera center coincides with the look-at target")
-    z = forward / norm
-    lateral = np.cross(z, np.asarray(WORLD_UP))
-    if np.linalg.norm(lateral) < 1e-9:
-        lateral = np.array([1.0, 0.0, 0.0])
-    x = lateral / np.linalg.norm(lateral)
-    y = np.cross(z, x)
-    rotation = np.stack([x, y, z])
-    return Pose(rotation, -rotation @ center)
+    z = [f / norm for f in forward]
+    lateral = np.cross(z, WORLD_UP).tolist()
+    norm = math.sqrt(0.0 + lateral[0] * lateral[0] + lateral[1] * lateral[1] + lateral[2] * lateral[2])
+    if norm < 1e-9:
+        lateral, norm = [1.0, 0.0, 0.0], 1.0
+    x = [a / norm for a in lateral]
+    rotation = [x, np.cross(z, x).tolist(), z]
+    return Pose(rotation, [-(r[0] * c[0] + r[1] * c[1] + r[2] * c[2]) for r in rotation])
 
 
 def _reference_fov_lateral_cap(intr: CameraIntrinsics, z: float) -> float:
@@ -605,7 +610,7 @@ class TestDataset:
         # CHANGES.md.
         manifest = generate_dataset(SceneParams(), DEFAULT_MIX, 64, 7, tmp_path / "g.jsonl")
         assert manifest["digest"] == (
-            "sha256:c86aa7a29a7b0a3060b596847ee09955840d5d5bae74c15a4f096453ebc1e1ad"
+            "sha256:45131fb8be8e65288a7157de28b233666f5b7033e4fc580d8cbdaca93188a9d8"
         )
 
     def test_records_have_ids_in_order(self, tmp_path):

@@ -17,6 +17,7 @@ from tiger.geometry import (
     OutOfBounds,
     Pose,
     TooFewPoints,
+    corner_pixel_bounds,
     fit_obb,
     invert,
     obb_distance,
@@ -28,6 +29,7 @@ from tiger.geometry import (
 )
 
 from conftest import (
+    box_rotation,
     look_at,
     random_box,
     random_pose,
@@ -108,6 +110,22 @@ class TestPoseAlgebra:
             twice = invert(invert(a))
             assert np.max(np.abs(twice.rotation - a.rotation)) < 1e-12
             assert np.max(np.abs(twice.translation - a.translation)) < 1e-12
+
+    def test_transform_sums_each_point_left_to_right(self):
+        # a point's bits depend on that point alone, never on the batch
+        rng = np.random.default_rng(15)
+        points = rng.uniform(-3, 3, size=(50, 3))
+        for _ in range(10):
+            a = random_pose(rng)
+            R, t = a.rotation.tolist(), a.translation.tolist()
+            expected = [
+                [r[0] * p[0] + r[1] * p[1] + r[2] * p[2] + ti for r, ti in zip(R, t)]
+                for p in points.tolist()
+            ]
+            assert transform(a, points).tolist() == expected
+            assert [transform(a, p).tolist() for p in points] == expected
+            center = [-(R[0][j] * t[0] + R[1][j] * t[1] + R[2][j] * t[2]) for j in range(3)]
+            assert a.center().tolist() == invert(a).translation.tolist() == center
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(GeometryError):
@@ -323,6 +341,30 @@ class TestFitObb:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             fit_obb(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+
+
+class TestCorners:
+    def test_corners_are_the_rotated_signed_extents(self):
+        rng = np.random.default_rng(17)
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+        for _ in range(50):
+            box = random_box(rng)
+            expected = (signs * box.half_extents) @ box_rotation(box).T + box.center
+            assert np.max(np.abs(box.corners() - expected)) < 1e-12
+
+    def test_pixel_bounds_are_those_of_the_projected_corners(self, intrinsics):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            box, pose = random_box(rng), random_pose(rng)
+            cam = transform(pose, box.corners())
+            bounds = corner_pixel_bounds(box, intrinsics, pose)
+            if np.any(cam[:, 2] <= 1e-9):
+                assert bounds is None
+                continue
+            u = intrinsics.fx * cam[:, 0] / cam[:, 2] + intrinsics.cx
+            v = intrinsics.fy * cam[:, 1] / cam[:, 2] + intrinsics.cy
+            expected = (u.min(), u.max(), v.min(), v.max())
+            assert np.max(np.abs(np.subtract(bounds, expected))) < 1e-6
 
 
 class TestTypes:

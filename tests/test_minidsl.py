@@ -115,6 +115,22 @@ class TestEvaluation:
         with pytest.raises(SingularMatrix):
             run("inv3([[1, 0, 0], [0, 1, 0], [1, 0, 0]])")
 
+    def test_linear_algebra_sums_left_to_right(self):
+        rng = np.random.default_rng(83)
+        m, n, v = rng.normal(size=(4, 4)), rng.normal(size=(4, 3)), rng.normal(size=4)
+        env = {"m": m, "n": n, "v": v}
+        rows, cols = m.tolist(), n.T.tolist()
+
+        def dot(a, b):
+            return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+        assert run("matmul(m, n)", env).tolist() == [[dot(r, c) for c in cols] for r in rows]
+        assert run("matmul(m, v)", env).tolist() == [dot(r, v.tolist()) for r in rows]
+        assert run("dot(v, v)", env) == dot(v.tolist(), v.tolist())
+        assert run("norm(v)", env) == math.sqrt(dot(v.tolist(), v.tolist()))
+        a = rng.normal(size=(3, 3))
+        assert np.allclose(run("inv3(a)", {"a": a}) @ a, np.eye(3), atol=1e-12)
+
     def test_inv_pose(self):
         rng = np.random.default_rng(81)
         from conftest import random_pose

@@ -53,7 +53,7 @@ from tiger.trajectory import (
     render_trajectory,
 )
 
-from conftest import look_at
+from conftest import box_rotation, look_at
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
 
@@ -191,7 +191,7 @@ class TestDepthSensor:
                 points = ts[:, None] * direction
                 inside_t = np.inf
                 for obj in objects:
-                    local = (points - np.asarray(obj.box3.center)) @ obj.box3.rotation()
+                    local = (points - np.asarray(obj.box3.center)) @ box_rotation(obj.box3)
                     hit = np.all(
                         np.abs(local) <= np.asarray(obj.box3.half_extents), axis=1
                     )
