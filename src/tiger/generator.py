@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, runtime
 from .geometry import CameraIntrinsics, OrientedBox3, Pose, obb_distance, project
-from .runtime import ExecutionContext, TrajectoryRunError, cast_ray, execute_calls, run_trajectory
+from .runtime import ExecutionContext, TrajectoryRunError, execute_calls, run_trajectory
 from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
 from .scene import ObjectNode, Scene
 from .scenegraph import Relation, region_contains, spatial_relation
@@ -202,6 +202,7 @@ class SceneParams:
                 "intrinsics must be [fx, fy, cx, cy, width, height] with positive "
                 "focal lengths and a positive integer width and height"
             )
+        CameraIntrinsics(*k[:4], int(k[4]), int(k[5]))  # principal point in the image
 
     def to_dict(self) -> dict:
         return {
@@ -332,40 +333,6 @@ def _fov_lateral_cap(intr: CameraIntrinsics, z: np.ndarray) -> np.ndarray:
     return 0.8 * np.minimum(half_u, half_v)
 
 
-def _placement_clear(center, half, yaw, boxes, margin: float) -> bool:
-    """all(obb_distance(OrientedBox3(center, half, yaw), o) > margin for o in boxes).
-
-    The candidate box is built only for a pair the shortcuts leave open.  Per
-    placed box, in order: a vertical gap above the margin clears the pair; so
-    does an xy center distance above both circumradii plus the margin, since
-    a footprint lies inside its circumcircle; a hypotenuse of that distance
-    less both inradii (a footprint contains its incircle) and the vertical
-    gap below the margin blocks the draw.  The 1e-9 slack keeps each shortcut
-    far outside rounding error, so the answer is the exact one.
-    """
-    cx, cy, cz = center
-    hx, hy, hz = half
-    outer = math.hypot(hx, hy)
-    inner = min(hx, hy)
-    box = None
-    for other in boxes:
-        ox, oy, oz = other.center
-        ohx, ohy, ohz = other.half_extents
-        z_gap = max(cz - hz - (oz + ohz), oz - ohz - (cz + hz), 0.0)
-        if z_gap > margin + 1e-9:
-            continue
-        d = math.hypot(cx - ox, cy - oy)
-        if d - outer - math.hypot(ohx, ohy) > margin + 1e-9:
-            continue
-        if math.hypot(max(d - inner - min(ohx, ohy), 0.0), z_gap) < margin - 1e-9:
-            return False
-        if box is None:
-            box = OrientedBox3(center, half, yaw)
-        if not obb_distance(box, other) > margin:
-            return False
-    return True
-
-
 # Placement attempts decided together, with one numpy pass (see _Draws.place).
 _BLOCK = 64
 # Doubles one placement attempt reads: 3 for the half extents, then zmin and
@@ -375,17 +342,21 @@ _BLOCK = 64
 _ATTEMPT = 7
 
 
-def _block_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin: float):
-    """(cleared, blocked) per row: _placement_clear's shortcuts, broadcast.
+def _pair_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin: float):
+    """(cleared, touching): which candidate/placed pairs the shortcuts decide.
 
-    Rows are candidate boxes, columns the placed `boxes`.  A row is cleared
-    when every pair is, blocked when some pair is; the rest are undecided.
-    Each shortcut keeps 1e-9 of slack against the exact distance, so a
-    last-ulp difference between np.hypot and math.hypot flips no verdict.
+    Rows are candidate boxes, columns the placed `boxes`.  A vertical gap
+    above the margin clears a pair; so does an xy center distance above both
+    circumradii plus the margin, since a footprint lies inside its
+    circumcircle.  A hypotenuse of that distance less both inradii (a
+    footprint contains its incircle) and the vertical gap below the margin
+    makes the pair touch.  Each shortcut keeps 1e-9 of slack against the
+    exact distance, so a cleared pair has obb_distance > margin and a
+    touching pair does not; the rest are open.
     """
-    ox, oy, oz, ohx, ohy, ohz = np.array(
-        [b.center + b.half_extents for b in boxes]
-    ).T
+    ox, oy, oz, ohx, ohy, ohz = (
+        np.array([b.center + b.half_extents for b in boxes]).reshape(-1, 6).T
+    )
     cx, cy, cz, hx, hy, hz = (v[:, None] for v in (cx, cy, cz, hx, hy, hz))
     with np.errstate(over="ignore", invalid="ignore"):
         z_gap = np.maximum(np.maximum(cz - hz - (oz + ohz), oz - ohz - (cz + hz)), 0.0)
@@ -395,7 +366,7 @@ def _block_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin: float):
         )
         inner_gap = np.maximum(d - np.minimum(hx, hy) - np.minimum(ohx, ohy), 0.0)
         touching = np.hypot(inner_gap, z_gap) < margin - 1e-9
-    return cleared.all(axis=1), (touching & ~cleared).any(axis=1)
+    return cleared, touching
 
 
 class _Draws:
@@ -456,15 +427,16 @@ class _Draws:
     def place(self, boxes) -> OrientedBox3 | None:
         """The first of up to max_attempts attempts clear of `boxes`, or None.
 
-        _BLOCK attempts at a time: those that read all 7 doubles go through
-        _block_verdicts together, _placement_clear decides the undecided,
-        and the first clear one in draw order is taken.  With no boxes every
-        whole attempt is clear, so attempts are taken one at a time.
+        An attempt is clear when obb_distance to every placed box exceeds the
+        margin.  Attempts are decided _BLOCK at a time: those that read all 7
+        doubles go through _pair_verdicts together, a row with a touching
+        pair is skipped, obb_distance runs only on the pairs a row leaves
+        open, and the first row whose pairs are all clear is taken.
         """
         margin = self._params.placement_margin
         left = self._params.max_attempts
         while left > 0:
-            n = min(_BLOCK if boxes else 1, left)
+            n = min(_BLOCK, left)
             self._ahead(_ATTEMPT * n)
             reads = self._reads
             whole = []
@@ -474,17 +446,19 @@ class _Draws:
                     whole.append(p)
                 p += reads[p]
             cx, cy, cz, hx, hy, hz, yaw = self._attempts[:, whole]
-            if boxes:
-                cleared, blocked = _block_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin)
-            else:
-                cleared = np.ones(len(whole), dtype=bool)
-                blocked = ~cleared
-            for i in np.flatnonzero(~blocked).tolist():
-                center = (float(cx[i]), float(cy[i]), float(cz[i]))
-                half = (float(hx[i]), float(hy[i]), float(hz[i]))
-                if cleared[i] or _placement_clear(center, half, float(yaw[i]), boxes, margin):
+            cleared, touching = _pair_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin)
+            for i in np.flatnonzero(~touching.any(axis=1)).tolist():
+                box = OrientedBox3(
+                    (float(cx[i]), float(cy[i]), float(cz[i])),
+                    (float(hx[i]), float(hy[i]), float(hz[i])),
+                    float(yaw[i]),
+                )
+                if all(
+                    obb_distance(box, boxes[j]) > margin
+                    for j in np.flatnonzero(~cleared[i]).tolist()
+                ):
                     self._pos = whole[i] + _ATTEMPT
-                    return OrientedBox3(center, half, float(yaw[i]))
+                    return box
             self._pos = p
             left -= n
         return None
@@ -670,8 +644,13 @@ def _call(name, **kwargs) -> ToolCall:
     return ToolCall(name, tuple(kwargs.items()))
 
 
-def _uses(*names) -> ValueList:
-    return ValueList(tuple(Text(n) for n in names))
+def _code(program: str, *uses) -> ToolCall:
+    """A code_executor call of `program` over the named result bindings."""
+    return _call(
+        "code_executor",
+        program=Text(program),
+        uses=ValueList(tuple(Text(n) for n in uses)),
+    )
 
 
 def _visible_objects(scene: Scene, view: int):
@@ -693,30 +672,26 @@ def _run_plan(ctx: ExecutionContext, calls):
     return results
 
 
-def _assemble(thoughts, calls, results, answer_value, fmt) -> Trajectory:
-    steps = [Thought(t) for t in thoughts[:1]]
-    for call, result in zip(calls, results):
-        steps.append(call)
-        steps.append(ToolResult(result))
-    for t in thoughts[1:]:
-        steps.append(Thought(t))
-    steps.append(Answer(answer_value, fmt))
-    return Trajectory(tuple(steps))
-
-
 def _shuffled(rng, items):
     items = list(items)
     order = rng.permutation(len(items))
     return [items[int(i)] for i in order]
 
 
-def _box_call_checked(ctx: ExecutionContext, view: int, obj: ObjectNode) -> ToolCall:
-    """Label-addressed box lookup, verified to resolve to the intended object."""
+def _box_call_checked(ctx: ExecutionContext, view: int, obj: ObjectNode) -> ToolCall | None:
+    """Label-addressed box lookup, or None when it resolves to another object."""
     call = _call("box_2d_to_box_3d", view=_int_scalar(view), label=Text(obj.label))
     (value,) = _run_plan(ctx, [call])
-    if value.box != obj.box3:
-        raise InsufficientScene(f"{obj.label} is occluded in view {view}")
-    return call
+    return call if value.box == obj.box3 else None
+
+
+# Each builder draws from the record's rng and returns (calls, results,
+# answer, views, fields): the plan, its results, the answer value, the views
+# the record names, and one dict of fields that fills both the question and
+# the thought.  instantiate draws the question and then the thought once the
+# builder returns, so they are a record's last two draws; the dataset bytes
+# depend on that order.  A builder that finds nothing to ask raises
+# InsufficientScene.
 
 
 def _build_object_size(ctx, rng, template):
@@ -726,22 +701,14 @@ def _build_object_size(ctx, rng, template):
         if not visible:
             continue
         obj = _pick(rng, visible)
-        try:
-            box_call = _box_call_checked(ctx, view, obj)
-        except InsufficientScene:
+        box_call = _box_call_checked(ctx, view, obj)
+        if box_call is None:
             continue
-        dim, program = _SIZE_DIMS[int(rng.integers(len(_SIZE_DIMS)))]
-        calls = [
-            box_call,
-            _call("code_executor", program=Text(program), uses=_uses("r1")),
-        ]
+        dim, program = _pick(rng, _SIZE_DIMS)
+        calls = [box_call, _code(program, "r1")]
         results = _run_plan(ctx, calls)
         answer = Scalar(results[-1].value, "m")
-        question = _pick(rng, QUESTION_BANK["object_size"]).format(
-            dim=dim, label=obj.label, view=view
-        )
-        thought = _pick(rng, THOUGHT_BANK["object_size"]).format(label=obj.label)
-        return question, [thought], calls, results, answer, (view,)
+        return calls, results, answer, (view,), {"dim": dim, "label": obj.label, "view": view}
     raise InsufficientScene("no visible object for a size question")
 
 
@@ -766,30 +733,15 @@ def _build_inter_object_distance(ctx, rng, template):
         if not pairs:
             continue
         a, b = _pick(rng, pairs)
-        try:
-            call_a = _box_call_checked(ctx, view_a, a)
-            call_b = _box_call_checked(ctx, view_b, b)
-        except InsufficientScene:
+        call_a = _box_call_checked(ctx, view_a, a)
+        call_b = call_a and _box_call_checked(ctx, view_b, b)
+        if call_b is None:
             continue
-        calls = [
-            call_a,
-            call_b,
-            _call(
-                "code_executor",
-                program=Text("obb_dist(r1, r2)"),
-                uses=_uses("r1", "r2"),
-            ),
-        ]
+        calls = [call_a, call_b, _code("obb_dist(r1, r2)", "r1", "r2")]
         results = _run_plan(ctx, calls)
         answer = Scalar(results[-1].value, "m")
-        question = _pick(rng, QUESTION_BANK["inter_object_distance"]).format(
-            a=a.label, b=b.label
-        )
-        thought = _pick(rng, THOUGHT_BANK["inter_object_distance"]).format(
-            a=a.label, b=b.label
-        )
-        views = (view_a,) if view_a == view_b else tuple(sorted({view_a, view_b}))
-        return question, [thought], calls, results, answer, views
+        views = tuple(sorted({view_a, view_b}))
+        return calls, results, answer, views, {"a": a.label, "b": b.label}
     raise InsufficientScene("no visible object pair for a distance question")
 
 
@@ -821,34 +773,25 @@ def _build_spatial_layout_mcq(ctx, rng, template):
         if not pairs:
             continue
         a, b = _pick(rng, pairs)
-        try:
-            call_a = _box_call_checked(ctx, view, a)
-            call_b = _box_call_checked(ctx, view, b)
-        except InsufficientScene:
+        call_a = _box_call_checked(ctx, view, a)
+        call_b = call_a and _box_call_checked(ctx, view, b)
+        if call_b is None:
             continue
         calls = [
             call_a,
             call_b,
             _call("camera_extrinsics", view=_int_scalar(view)),
-            _call(
-                "code_executor",
-                program=Text(_LAYOUT_PROGRAM),
-                uses=_uses("r1", "r2", "r3"),
-            ),
+            _code(_LAYOUT_PROGRAM, "r1", "r2", "r3"),
         ]
         results = _run_plan(ctx, calls)
         sign = results[-1].value
         if sign == 0.0:
             continue
-        answer = Choice("A" if sign > 0 else "B")
         left_holds = spatial_relation(a.box3, b.box3, pose, Relation.LEFT_OF)
         if (sign > 0) != left_holds:
             raise AssertionError("layout sign disagrees with the relation predicate")
-        question = _pick(rng, QUESTION_BANK["spatial_layout_mcq"]).format(
-            a=a.label, b=b.label, view=view
-        )
-        thought = _pick(rng, THOUGHT_BANK["spatial_layout_mcq"]).format(view=view)
-        return question, [thought], calls, results, answer, (view,)
+        answer = Choice("A" if sign > 0 else "B")
+        return calls, results, answer, (view,), {"a": a.label, "b": b.label, "view": view}
     raise InsufficientScene("no laterally separated pair in any view")
 
 
@@ -862,22 +805,14 @@ def _build_object_depth(ctx, rng, template):
                 continue
             if not ip.inside():
                 continue
-            hit = cast_ray(scene, view, ip.u, ip.v)
-            if hit is None or hit.owner != obj.id:
-                continue  # center pixel occluded by another surface
+            _, owners = runtime.cast_rays(scene, view, [ip.u], [ip.v])
+            if owners[0] < 0 or scene.objects[owners[0]].id != obj.id:
+                continue  # the center pixel sees the floor, nothing or another object
             point = Point2(ip.u_norm, ip.v_norm, pixel=False)
-            calls = [
-                _call("depth_sensor", view=_int_scalar(view), point=point)
-            ]
+            calls = [_call("depth_sensor", view=_int_scalar(view), point=point)]
             results = _run_plan(ctx, calls)
             answer = Scalar(results[-1].value, "m")
-            question = _pick(rng, QUESTION_BANK["object_depth"]).format(
-                label=obj.label, view=view
-            )
-            thought = _pick(rng, THOUGHT_BANK["object_depth"]).format(
-                label=obj.label, view=view
-            )
-            return question, [thought], calls, results, answer, (view,)
+            return calls, results, answer, (view,), {"label": obj.label, "view": view}
     raise InsufficientScene("no object with an unoccluded center pixel")
 
 
@@ -903,6 +838,8 @@ def _build_relative_camera_pose(ctx, rng, template):
         for j in range(len(scene.views))
         if i != j
     ]
+    choice = template.output_format == "choice"
+    program = _CAMERA_CENTER_PROGRAM if choice else _RELATIVE_POSE_PROGRAM
     for i, j in _shuffled(rng, pairs):
         try:
             direction, angle = geometry.relative_camera_motion(
@@ -915,44 +852,19 @@ def _build_relative_camera_pose(ctx, rng, template):
         calls = [
             _call("camera_extrinsics", view=_int_scalar(i)),
             _call("camera_extrinsics", view=_int_scalar(j)),
+            _code(program, "r1", "r2"),
         ]
-        if template.output_format == "choice":
-            calls.append(
-                _call(
-                    "code_executor",
-                    program=Text(_CAMERA_CENTER_PROGRAM),
-                    uses=_uses("r1", "r2"),
-                )
-            )
-            results = _run_plan(ctx, calls)
-            sign = results[-1].value
-            if sign == 0.0:
+        results = _run_plan(ctx, calls)
+        answer = results[-1]
+        if choice:
+            sign = answer.value
+            # 0-to-orbit pairs can put the pivot off the first camera's axis;
+            # only emit pairs where the trace's lateral test and the orbit
+            # ground truth agree.
+            if sign == 0.0 or (sign > 0) != (direction is geometry.OrbitDirection.RIGHT):
                 continue
-            moved_right = sign > 0
-            if moved_right != (direction is geometry.OrbitDirection.RIGHT):
-                # 0-to-orbit pairs can put the pivot off the first camera's
-                # axis; only emit pairs where the trace's lateral test and the
-                # orbit ground truth agree.
-                continue
-            answer = Choice("B" if moved_right else "A")
-            question = _pick(rng, QUESTION_BANK["relative_camera_pose_choice"]).format(
-                i=i, j=j
-            )
-        else:
-            calls.append(
-                _call(
-                    "code_executor",
-                    program=Text(_RELATIVE_POSE_PROGRAM),
-                    uses=_uses("r1", "r2"),
-                )
-            )
-            results = _run_plan(ctx, calls)
-            answer = results[-1]
-            question = _pick(rng, QUESTION_BANK["relative_camera_pose_pose"]).format(
-                i=i, j=j
-            )
-        thought = _pick(rng, THOUGHT_BANK["relative_camera_pose"])
-        return question, [thought], calls, results, answer, (i, j)
+            answer = Choice("B" if sign > 0 else "A")
+        return calls, results, answer, (i, j), {"i": i, "j": j}
     raise InsufficientScene("no view pair with a clean orbit angle")
 
 
@@ -964,27 +876,22 @@ def _axis_row_expr(binding: str, row: int) -> str:
 
 
 def _sample_world_offset(rng, scene, obj, region, clearance):
-    """Literal world-frame offset from the box center into the region, or None."""
+    """Literal world-frame offset from the box center into the BELOW or ABOVE
+    region, or None when there is no room below the box."""
     box = obj.box3
     hx, hy, hz = box.half_extents
+    reach = 0.3
     if region is Relation.BELOW:
         slack = box.zmin - scene.floor_z - clearance - 0.02
         if slack <= 0:
             return None
-        dz = hz + clearance + rng.uniform(0.0, min(slack, 0.3))
-        return (
-            float(rng.uniform(-0.4, 0.4) * hx),
-            float(rng.uniform(-0.4, 0.4) * hy),
-            float(-dz),
-        )
-    if region is Relation.ABOVE:
-        dz = hz + clearance + rng.uniform(0.0, 0.3)
-        return (
-            float(rng.uniform(-0.4, 0.4) * hx),
-            float(rng.uniform(-0.4, 0.4) * hy),
-            float(dz),
-        )
-    return None
+        reach = min(slack, reach)
+    dz = hz + clearance + rng.uniform(0.0, reach)
+    return (
+        float(rng.uniform(-0.4, 0.4) * hx),
+        float(rng.uniform(-0.4, 0.4) * hy),
+        float(-dz if region is Relation.BELOW else dz),
+    )
 
 
 def _offset_program(offset) -> str:
@@ -1009,9 +916,8 @@ def _build_point_3d_target(ctx, rng, template):
     regions = (Relation.BELOW, Relation.ABOVE, Relation.LEFT_OF, Relation.RIGHT_OF)
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
-            try:
-                box_call = _box_call_checked(ctx, view, obj)
-            except InsufficientScene:
+            box_call = _box_call_checked(ctx, view, obj)
+            if box_call is None:
                 continue
             for region in _shuffled(rng, regions):
                 for _ in range(8):
@@ -1019,15 +925,7 @@ def _build_point_3d_target(ctx, rng, template):
                         offset = _sample_world_offset(rng, scene, obj, region, clearance)
                         if offset is None:
                             break
-                        program = _offset_program(offset)
-                        calls = [
-                            box_call,
-                            _call(
-                                "code_executor",
-                                program=Text(program),
-                                uses=_uses("r1"),
-                            ),
-                        ]
+                        calls = [box_call, _code(_offset_program(offset), "r1")]
                     else:
                         axis_world = scene.views[view].rotation.T[:, 0]
                         half_proj = geometry.project_half_extent(obj.box3, axis_world)
@@ -1037,11 +935,7 @@ def _build_point_3d_target(ctx, rng, template):
                         calls = [
                             box_call,
                             _call("camera_extrinsics", view=_int_scalar(view)),
-                            _call(
-                                "code_executor",
-                                program=Text(program),
-                                uses=_uses("r1", "r2"),
-                            ),
+                            _code(program, "r1", "r2"),
                         ]
                     results = _run_plan(ctx, calls)
                     point = results[-1]
@@ -1051,13 +945,8 @@ def _build_point_3d_target(ctx, rng, template):
                         scene, view, obj, region, (point.x, point.y, point.z), clearance
                     ):
                         continue
-                    question = _pick(rng, QUESTION_BANK["point_3d_target"]).format(
-                        region=_REGION_PHRASES[region], label=obj.label, view=view
-                    )
-                    thought = _pick(rng, THOUGHT_BANK["point_3d_target"]).format(
-                        label=obj.label, region=_REGION_PHRASES[region]
-                    )
-                    return question, [thought], calls, results, point, (view,)
+                    fields = {"region": _REGION_PHRASES[region], "label": obj.label, "view": view}
+                    return calls, results, point, (view,), fields
     raise InsufficientScene("no feasible free-space region")
 
 
@@ -1066,22 +955,19 @@ def _build_pixel_2d_target(ctx, rng, template):
     clearance = 0.05
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
-            try:
-                box_call = _box_call_checked(ctx, view, obj)
-            except InsufficientScene:
+            box_call = _box_call_checked(ctx, view, obj)
+            if box_call is None:
                 continue
             for _ in range(12):
                 offset = _sample_world_offset(rng, scene, obj, Relation.BELOW, clearance)
                 if offset is None:
                     break
-                program = _offset_program(offset)
                 head = [
                     box_call,
                     _call("camera_extrinsics", view=_int_scalar(view)),
-                    _call("code_executor", program=Text(program), uses=_uses("r1")),
+                    _code(_offset_program(offset), "r1"),
                 ]
-                head_results = _run_plan(ctx, head)
-                point = head_results[-1]
+                point = _run_plan(ctx, head)[-1]
                 if not _region_ok(
                     scene, view, obj, Relation.BELOW, (point.x, point.y, point.z), clearance
                 ):
@@ -1099,13 +985,7 @@ def _build_pixel_2d_target(ctx, rng, template):
                 ]
                 results = _run_plan(ctx, calls)
                 answer = ValueList((results[-1],))
-                question = _pick(rng, QUESTION_BANK["pixel_2d_target"]).format(
-                    label=obj.label, view=view
-                )
-                thought = _pick(rng, THOUGHT_BANK["pixel_2d_target"]).format(
-                    label=obj.label
-                )
-                return question, [thought], calls, results, answer, (view,)
+                return calls, results, answer, (view,), {"label": obj.label, "view": view}
     raise InsufficientScene("no below-region point projects into the image")
 
 
@@ -1114,9 +994,8 @@ def _build_metric_offset_placement(ctx, rng, template):
     offsets = (0.1, 0.15, 0.2)
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
-            try:
-                box_call = _box_call_checked(ctx, view, obj)
-            except InsufficientScene:
+            box_call = _box_call_checked(ctx, view, obj)
+            if box_call is None:
                 continue
             direction = _pick(rng, tuple(_OFFSET_DIRS))
             offset = float(_pick(rng, offsets))
@@ -1129,22 +1008,19 @@ def _build_metric_offset_placement(ctx, rng, template):
             calls = [
                 box_call,
                 _call("camera_extrinsics", view=_int_scalar(view)),
-                _call("code_executor", program=Text(program), uses=_uses("r1", "r2")),
+                _code(program, "r1", "r2"),
             ]
             results = _run_plan(ctx, calls)
             point = results[-1]
             if point.z <= scene.floor_z:
                 continue
-            question = _pick(rng, QUESTION_BANK["metric_offset_placement"]).format(
-                offset=format_number(offset),
-                dir=_OFFSET_DIRS[direction],
-                label=obj.label,
-                view=view,
-            )
-            thought = _pick(rng, THOUGHT_BANK["metric_offset_placement"]).format(
-                label=obj.label, view=view, offset=format_number(offset)
-            )
-            return question, [thought], calls, results, point, (view,)
+            fields = {
+                "offset": format_number(offset),
+                "dir": _OFFSET_DIRS[direction],
+                "label": obj.label,
+                "view": view,
+            }
+            return calls, results, point, (view,), fields
     raise InsufficientScene("no visible object for a placement question")
 
 
@@ -1165,20 +1041,24 @@ def instantiate(template: Template, scene: Scene, seed: int, sample_id: int = 0)
     rng = np.random.default_rng(seed)
     # one context per record: every plan and check shares its tool cache
     ctx = ExecutionContext(scene, "oracle")
-    question, thoughts, calls, results, answer, views = _BUILDERS[template.family](
-        ctx, rng, template
-    )
-    trajectory = _assemble(thoughts, calls, results, answer, template.output_format)
-    text = render_trajectory(trajectory)
+    family, fmt = template.family, template.output_format
+    calls, results, answer, views, fields = _BUILDERS[family](ctx, rng, template)
+    # a family with two answer formats words its question per format
+    questions = QUESTION_BANK.get(family) or QUESTION_BANK[f"{family}_{fmt}"]
+    question = _pick(rng, questions).format(**fields)
+    steps = [Thought(_pick(rng, THOUGHT_BANK[family]).format(**fields))]
+    for call, result in zip(calls, results):
+        steps += (call, ToolResult(result))
+    steps.append(Answer(answer, fmt))
     sample = Sample(
         id=sample_id,
         scene=scene,
         views=tuple(views),
         question=question,
-        trajectory_text=text,
+        trajectory_text=render_trajectory(Trajectory(tuple(steps))),
         answer=answer,
-        format=template.output_format,
-        family=template.family,
+        format=fmt,
+        family=family,
         seed=seed,
     )
     if not self_check(sample):

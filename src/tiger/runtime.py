@@ -135,18 +135,6 @@ REGISTRY = {
     )
 }
 
-@dataclass(frozen=True)
-class RayHit:
-    """Nearest-hit result of one camera ray: z-depth plus the hit owner."""
-
-    depth: float
-    owner: object  # object id (int) or "floor"
-
-    def __post_init__(self):
-        if not self.depth > 0:
-            raise ValueError("hit depth must be positive")
-
-
 @dataclass
 class ExecutionContext:
     """One run's state: the immutable scene, result bindings and a tool cache.
@@ -239,7 +227,6 @@ def check_call(call: ToolCall):
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-9
-FLOOR = "floor"
 # rays cast together: a block's temporaries stay small enough for the
 # allocator to reuse, where a frame's would be fresh pages on every cast
 _BLOCK_RAYS = 1 << 15
@@ -343,15 +330,6 @@ def cast_rays(scene: Scene, view: int, u, v):
         np.copyto(best, t_floor, where=closer)
         owner[closer] = -2
     return depths, owners
-
-
-def cast_ray(scene: Scene, view: int, u: float, v: float):
-    """Nearest hit of a single pixel ray, or None when nothing is hit."""
-    depths, owners = cast_rays(scene, view, [u], [v])
-    if not math.isfinite(depths[0]):
-        return None
-    owner = FLOOR if owners[0] == -2 else scene.objects[owners[0]].id
-    return RayHit(float(depths[0]), owner)
 
 
 def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):

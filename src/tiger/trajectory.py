@@ -200,16 +200,6 @@ class Trajectory:
     def calls(self):
         return tuple(s for s in self.steps if isinstance(s, ToolCall))
 
-    @property
-    def views(self):
-        """Sorted view ids referenced by integral `view` arguments."""
-        seen = set()
-        for call in self.calls:
-            v = call.arg("view")
-            if isinstance(v, Scalar) and v.value == int(v.value):
-                seen.add(int(v.value))
-        return tuple(sorted(seen))
-
 
 # ---------------------------------------------------------------------------
 # Number formatting (shortest round-trip decimal)

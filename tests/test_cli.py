@@ -129,6 +129,16 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: bad config: {next(iter(scene))} ")
 
+    def test_principal_point_outside_the_image_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        scene = {"intrinsics": [525, 525, 900, 239.5, 640, 480]}
+        path.write_text(json.dumps(dict(CONFIG, scene=scene)))
+        out = tmp_path / "x.jsonl"
+        code = main(["generate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert_one_error(capsys, "bad config: principal point must lie inside the image")
+        assert not out.exists()
+
     def test_infeasible_mix_exits_one(self, tmp_path, capsys):
         config = {
             "count": 2,

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 
 import pytest
@@ -93,3 +94,23 @@ def test_blas_sites_finds_each_form(source, what):
 def test_blas_sites_passes_the_fixed_order_helpers():
     source = "from . import geometry\nx = geometry.matmul(a, b) + geometry.sum_of_products(a, b)\n"
     assert blas_sites(source) == []
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """tigerbench/tracing.py patches the package's functions by module attribute.
+
+    A deleted or renamed attribute it patches fails here, not only in a
+    traced benchmark run.
+    """
+    path = os.path.join(os.path.dirname(os.path.dirname(SRC)), "tigerbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("tigerbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        assert patched and all(owner.__dict__[attr] is not fn for owner, attr, fn in patched)
+    finally:
+        tracer.restore()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in patched)

@@ -23,14 +23,12 @@ from tiger.runtime import (
     REGISTRY,
     EmptyRegion,
     ExecutionContext,
-    RayHit,
     SchemaError,
     TrajectoryRunError,
     UnknownTool,
     _grid_hits,
     _pixel_grid,
     _rle_encode,
-    cast_ray,
     cast_rays,
     check_call,
     execute_calls,
@@ -153,13 +151,8 @@ class TestDepthSensor:
 
     def test_floor_hit(self, scene):
         # view 1 looks sideways; aim a ray well below the boxes at the floor
-        ctx = ExecutionContext(scene, "oracle")
-        hit = cast_ray(scene, 1, 320.0, 479.5)
-        assert hit is not None and hit.owner == "floor"
-
-    def test_ray_hit_validation(self):
-        with pytest.raises(ValueError):
-            RayHit(0.0, "floor")
+        depths, owners = cast_rays(scene, 1, [320.0], [479.5])
+        assert np.isfinite(depths[0]) and owners[0] == -2
 
     def test_caster_agrees_with_ray_marching(self):
         # independent oracle: march along random rays and find the first
@@ -208,17 +201,14 @@ class TestDepthSensor:
                     assert inside_t == np.inf or inside_t > 11.9
 
     def test_depth_map_matches_point_queries(self, scene):
-        depths, _ = cast_rays(scene, 0, *full_frame(scene.intrinsics))
+        depths, owners = cast_rays(scene, 0, *full_frame(scene.intrinsics))
         assert depths.shape == (480, 640)
         rng = np.random.default_rng(66)
         for _ in range(50):
             i = int(rng.integers(0, 640))
             j = int(rng.integers(0, 480))
-            hit = cast_ray(scene, 0, i + 0.5, j + 0.5)
-            if hit is None:
-                assert not np.isfinite(depths[j, i])
-            else:
-                assert depths[j, i] == hit.depth
+            depth, owner = cast_rays(scene, 0, [i + 0.5], [j + 0.5])
+            assert (depths[j, i], owners[j, i]) == (depth[0], owner[0])
         assert np.isfinite(depths).any()
 
 

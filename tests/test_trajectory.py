@@ -51,7 +51,6 @@ class TestParseBasics:
         result = t.steps[2]
         assert isinstance(result.value, Matrix) and result.value.shape == (4, 4)
         assert t.answer.value == Choice("B")
-        assert t.views == (1,)
 
     def test_response_before_call_is_ordering_error(self):
         text = "<tool_response>1</tool_response><answer format=scalar>1</answer>"
