@@ -15,6 +15,7 @@ generation order and parallelism.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,11 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, runtime
-from .geometry import CameraIntrinsics, OrientedBox3, Pose, obb_distance, project
+from .geometry import (
+    CameraIntrinsics,
+    OrientedBox3,
+    Pose,
+    obb_distance,
+    point_obb_distance,
+    project,
+    project_half_extent,
+    transform,
+)
 from .runtime import ExecutionContext, TrajectoryRunError, execute_calls, run_trajectory
 from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
 from .scene import ObjectNode, Scene
-from .scenegraph import Relation, region_contains, spatial_relation
 from .trajectory import (
     Answer,
     Choice,
@@ -82,33 +91,6 @@ DEFAULT_LABELS = (
     "basket",
     "stool",
 )
-
-FAMILIES = (
-    "object_size",
-    "inter_object_distance",
-    "spatial_layout_mcq",
-    "object_depth",
-    "relative_camera_pose",
-    "point_3d_target",
-    "pixel_2d_target",
-    "metric_offset_placement",
-)
-
-FAMILY_FORMATS = {
-    "object_size": ("scalar",),
-    "inter_object_distance": ("scalar",),
-    "spatial_layout_mcq": ("choice",),
-    "object_depth": ("scalar",),
-    "relative_camera_pose": ("choice", "pose"),
-    "point_3d_target": ("point3",),
-    "pixel_2d_target": ("point2",),
-    "metric_offset_placement": ("point3",),
-}
-
-FAMILY_CONFIGS = {
-    "inter_object_distance": ("single_view", "multi_view"),
-    "relative_camera_pose": ("multi_view",),
-}
 
 
 def _is_sequence(value) -> bool:
@@ -202,23 +184,19 @@ class SceneParams:
                 "intrinsics must be [fx, fy, cx, cy, width, height] with positive "
                 "focal lengths and a positive integer width and height"
             )
-        CameraIntrinsics(*k[:4], int(k[4]), int(k[5]))  # principal point in the image
+        self.camera_intrinsics()  # the principal point must lie in the image
+
+    def camera_intrinsics(self) -> CameraIntrinsics:
+        fx, fy, cx, cy, width, height = self.intrinsics
+        return CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
 
     def to_dict(self) -> dict:
-        return {
-            "object_count": list(self.object_count),
-            "view_count": list(self.view_count),
-            "labels": list(self.labels),
-            "room_extent": list(self.room_extent),
-            "orbit_radius": list(self.orbit_radius),
-            "orbit_height": list(self.orbit_height),
-            "min_half_extent": self.min_half_extent,
-            "max_half_extent": self.max_half_extent,
-            "hover_range": list(self.hover_range),
-            "placement_margin": self.placement_margin,
-            "max_attempts": self.max_attempts,
-            "intrinsics": list(self.intrinsics),
-        }
+        """Every field in declaration order, sequences as lists."""
+        out = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            out[field.name] = list(value) if _is_sequence(value) else value
+        return out
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SceneParams":
@@ -239,19 +217,17 @@ class Template:
     output_format: str = ""
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown template family {self.family!r}")
-        allowed = FAMILY_CONFIGS.get(self.family, ("single_view",))
-        config = self.image_config or allowed[0]
-        if config not in allowed:
+        _, formats, configs, _, _ = _FAMILIES[self.family]
+        config = self.image_config or configs[0]
+        if config not in configs:
             raise ValueError(
-                f"{self.family} supports image configs {allowed}, not {config!r}"
+                f"{self.family} supports image configs {configs}, not {config!r}"
             )
-        fmt = self.output_format or FAMILY_FORMATS[self.family][0]
-        if fmt not in FAMILY_FORMATS[self.family]:
-            raise ValueError(
-                f"{self.family} supports formats {FAMILY_FORMATS[self.family]}, not {fmt!r}"
-            )
+        fmt = self.output_format or formats[0]
+        if fmt not in formats:
+            raise ValueError(f"{self.family} supports formats {formats}, not {fmt!r}")
         object.__setattr__(self, "image_config", config)
         object.__setattr__(self, "output_format", fmt)
 
@@ -472,8 +448,7 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
     view.
     """
     rng = np.random.default_rng(seed)
-    fx, fy, cx, cy, width, height = params.intrinsics
-    intr = CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
+    intr = params.camera_intrinsics()
 
     n_objects = int(rng.integers(params.object_count[0], params.object_count[1] + 1))
     n_views = int(rng.integers(params.view_count[0], params.view_count[1] + 1))
@@ -522,45 +497,45 @@ def generate_scene(params: SceneParams, seed: int) -> Scene:
 # ---------------------------------------------------------------------------
 
 QUESTION_BANK = {
-    "object_size": (
+    ("object_size", "scalar"): (
         "What is the {dim} of the {label} in view {view}, in meters?",
         "Measure the {dim} of the {label} shown in view {view}.",
         "In view {view}, how large is the {label}? Report its {dim} in meters.",
     ),
-    "inter_object_distance": (
+    ("inter_object_distance", "scalar"): (
         "What is the minimum distance between the {a} and the {b}?",
         "How far apart are the {a} and the {b} at their closest points, in meters?",
         "Compute the minimum separation between the {a} and the {b}.",
     ),
-    "spatial_layout_mcq": (
+    ("spatial_layout_mcq", "choice"): (
         "In view {view}, is the {a} to the left or to the right of the {b}? (A) left (B) right",
         "Looking at view {view}: does the {a} sit left or right of the {b}? (A) left (B) right",
         "From the camera of view {view}, is the {a} on the left side or the right side of the {b}? (A) left (B) right",
     ),
-    "object_depth": (
+    ("object_depth", "scalar"): (
         "How far from the camera is the visible surface of the {label} at its image center in view {view}, in meters?",
         "In view {view}, what is the sensor depth at the center pixel of the {label}?",
         "Query the depth of the {label} at its projected center in view {view}, in meters.",
     ),
-    "relative_camera_pose_choice": (
+    ("relative_camera_pose", "choice"): (
         "A static scene was captured from view {i} first and view {j} second. Did the camera move left or right around the objects? (A) left (B) right",
         "Between view {i} and view {j}, does the camera travel left or right about the scene? (A) left (B) right",
         "The camera moved from the pose of view {i} to the pose of view {j}. Choose its orbit direction: (A) left (B) right",
     ),
-    "relative_camera_pose_pose": (
+    ("relative_camera_pose", "pose"): (
         "Give the 4x4 rigid transform mapping points from the camera frame of view {i} to the camera frame of view {j}.",
         "What is the relative pose of view {j} with respect to view {i}, as a 4x4 matrix?",
     ),
-    "point_3d_target": (
+    ("point_3d_target", "point3"): (
         "Pick a point in the empty space {region} the {label} in view {view}. Answer with world-frame 3D coordinates in meters.",
         "Choose a free-space 3D point {region} the {label} (view {view}); give (x, y, z) in the world frame.",
         "Select a collision-free point {region} the {label} in view {view} and report it as world coordinates.",
     ),
-    "pixel_2d_target": (
+    ("pixel_2d_target", "point2"): (
         "Pinpoint a point in the vacant space below the {label} in view {view}. Answer as a list of normalized image coordinates [(x, y)] with x and y between 0 and 1.",
         "Mark one point under the {label} in view {view}; reply with normalized pixel coordinates in [(x, y)] form.",
     ),
-    "metric_offset_placement": (
+    ("metric_offset_placement", "point3"): (
         "Where should an object be placed so that it ends up {offset} m {dir} the {label} in view {view}? Give the world-frame 3D target point.",
         "Give the 3D world coordinates of the spot {offset} m {dir} the {label}, judged in view {view}.",
     ),
@@ -612,10 +587,10 @@ _SIZE_DIMS = (
 )
 
 _REGION_PHRASES = {
-    Relation.BELOW: "directly below",
-    Relation.ABOVE: "directly above",
-    Relation.LEFT_OF: "to the left of",
-    Relation.RIGHT_OF: "to the right of",
+    "below": "directly below",
+    "above": "directly above",
+    "left_of": "to the left of",
+    "right_of": "to the right of",
 }
 
 _OFFSET_DIRS = {
@@ -629,6 +604,66 @@ _OFFSET_DIRS = {
 
 def _pick(rng, items):
     return items[int(rng.integers(len(items)))]
+
+
+# ---------------------------------------------------------------------------
+# Spatial relations and regions
+# ---------------------------------------------------------------------------
+
+_MIN_MARGIN = 0.02  # meters of hysteresis for camera-centric ties
+_POINT_HALF = 1e-6  # point-sized box used to re-verify region predicates
+
+
+def _relation(a: OrientedBox3, b: OrientedBox3, pose: Pose, relation: str) -> bool:
+    """Whether box a is "left_of", "right_of", "above" or "below" box b.
+
+    Left and right compare camera-frame x of the centers: a is left of b when
+    b's lies beyond a's by more than the two boxes' half extents along the
+    camera x axis, and by at least _MIN_MARGIN, so near-ties hold neither way.
+    Above and below compare world-frame vertical intervals.  Each relation
+    is its dual with the boxes swapped, so duality holds exactly.
+    """
+    if relation == "right_of":
+        return _relation(b, a, pose, "left_of")
+    if relation == "below":
+        return _relation(b, a, pose, "above")
+    if relation == "above":
+        return a.zmin >= b.zmax
+    if relation != "left_of":
+        raise ValueError(f"unknown relation {relation!r}")
+    axis_world = pose.rotation.T[:, 0]
+    ca = transform(pose, np.asarray(a.center))[0]
+    cb = transform(pose, np.asarray(b.center))[0]
+    margin = max(
+        project_half_extent(a, axis_world) + project_half_extent(b, axis_world),
+        _MIN_MARGIN,
+    )
+    return (cb - ca) - margin > 0
+
+
+# The builders call spatial_relation and region_contains by these names, where
+# tigerbench/tracing.py patches them; calls inside the two go to _relation, so
+# one question-level test is one traced call.
+
+
+def spatial_relation(a: OrientedBox3, b: OrientedBox3, pose: Pose, relation: str) -> bool:
+    """Decide whether the relation holds for box a with respect to box b."""
+    return _relation(a, b, pose, relation)
+
+
+def region_contains(point, anchor, region, pose, clearance, floor_z=-math.inf) -> bool:
+    """True when a point sits in the stated region of the anchor box.
+
+    Checks the floor, the clearance from the anchor surface, and the region's
+    relation with the point wrapped in a point-sized box.
+    """
+    p = np.asarray(point, dtype=float)
+    if p[2] <= floor_z:
+        return False
+    if point_obb_distance(p, anchor) < clearance - 1e-9:
+        return False
+    wrap = OrientedBox3(tuple(p), (_POINT_HALF,) * 3, 0.0)
+    return _relation(wrap, anchor, pose, region)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +801,8 @@ def _build_spatial_layout_mcq(ctx, rng, template):
             for b in visible
             if a.id != b.id
             and (
-                spatial_relation(a.box3, b.box3, pose, Relation.LEFT_OF)
-                or spatial_relation(a.box3, b.box3, pose, Relation.RIGHT_OF)
+                spatial_relation(a.box3, b.box3, pose, "left_of")
+                or spatial_relation(a.box3, b.box3, pose, "right_of")
             )
         ]
         if not pairs:
@@ -787,7 +822,7 @@ def _build_spatial_layout_mcq(ctx, rng, template):
         sign = results[-1].value
         if sign == 0.0:
             continue
-        left_holds = spatial_relation(a.box3, b.box3, pose, Relation.LEFT_OF)
+        left_holds = spatial_relation(a.box3, b.box3, pose, "left_of")
         if (sign > 0) != left_holds:
             raise AssertionError("layout sign disagrees with the relation predicate")
         answer = Choice("A" if sign > 0 else "B")
@@ -876,12 +911,12 @@ def _axis_row_expr(binding: str, row: int) -> str:
 
 
 def _sample_world_offset(rng, scene, obj, region, clearance):
-    """Literal world-frame offset from the box center into the BELOW or ABOVE
-    region, or None when there is no room below the box."""
+    """Literal world-frame offset from the box center into the "below" or
+    "above" region, or None when there is no room below the box."""
     box = obj.box3
     hx, hy, hz = box.half_extents
     reach = 0.3
-    if region is Relation.BELOW:
+    if region == "below":
         slack = box.zmin - scene.floor_z - clearance - 0.02
         if slack <= 0:
             return None
@@ -890,7 +925,7 @@ def _sample_world_offset(rng, scene, obj, region, clearance):
     return (
         float(rng.uniform(-0.4, 0.4) * hx),
         float(rng.uniform(-0.4, 0.4) * hy),
-        float(-dz if region is Relation.BELOW else dz),
+        float(-dz if region == "below" else dz),
     )
 
 
@@ -913,7 +948,7 @@ def _region_ok(scene, view, obj, region, point, clearance) -> bool:
 def _build_point_3d_target(ctx, rng, template):
     scene = ctx.scene
     clearance = 0.05
-    regions = (Relation.BELOW, Relation.ABOVE, Relation.LEFT_OF, Relation.RIGHT_OF)
+    regions = ("below", "above", "left_of", "right_of")
     for view in _shuffled(rng, range(len(scene.views))):
         for obj in _shuffled(rng, _visible_objects(scene, view)):
             box_call = _box_call_checked(ctx, view, obj)
@@ -921,16 +956,16 @@ def _build_point_3d_target(ctx, rng, template):
                 continue
             for region in _shuffled(rng, regions):
                 for _ in range(8):
-                    if region in (Relation.BELOW, Relation.ABOVE):
+                    if region in ("below", "above"):
                         offset = _sample_world_offset(rng, scene, obj, region, clearance)
                         if offset is None:
                             break
                         calls = [box_call, _code(_offset_program(offset), "r1")]
                     else:
                         axis_world = scene.views[view].rotation.T[:, 0]
-                        half_proj = geometry.project_half_extent(obj.box3, axis_world)
+                        half_proj = project_half_extent(obj.box3, axis_world)
                         magnitude = half_proj + clearance + 0.02 + rng.uniform(0.02, 0.25)
-                        sign = -1.0 if region is Relation.LEFT_OF else 1.0
+                        sign = -1.0 if region == "left_of" else 1.0
                         program = _axis_offset_program(sign, magnitude, "r2", 0)
                         calls = [
                             box_call,
@@ -959,7 +994,7 @@ def _build_pixel_2d_target(ctx, rng, template):
             if box_call is None:
                 continue
             for _ in range(12):
-                offset = _sample_world_offset(rng, scene, obj, Relation.BELOW, clearance)
+                offset = _sample_world_offset(rng, scene, obj, "below", clearance)
                 if offset is None:
                     break
                 head = [
@@ -969,7 +1004,7 @@ def _build_pixel_2d_target(ctx, rng, template):
                 ]
                 point = _run_plan(ctx, head)[-1]
                 if not _region_ok(
-                    scene, view, obj, Relation.BELOW, (point.x, point.y, point.z), clearance
+                    scene, view, obj, "below", (point.x, point.y, point.z), clearance
                 ):
                     continue
                 try:
@@ -1024,16 +1059,26 @@ def _build_metric_offset_placement(ctx, rng, template):
     raise InsufficientScene("no visible object for a placement question")
 
 
-_BUILDERS = {
-    "object_size": _build_object_size,
-    "inter_object_distance": _build_inter_object_distance,
-    "spatial_layout_mcq": _build_spatial_layout_mcq,
-    "object_depth": _build_object_depth,
-    "relative_camera_pose": _build_relative_camera_pose,
-    "point_3d_target": _build_point_3d_target,
-    "pixel_2d_target": _build_pixel_2d_target,
-    "metric_offset_placement": _build_metric_offset_placement,
+# family -> (builder, answer formats, image configs, min views, min objects),
+# the default format and config first.  The order of the families fixes the
+# order of a dataset's records, so the dataset bytes depend on it.
+_FAMILIES = {
+    "object_size": (_build_object_size, ("scalar",), ("single_view",), 1, 1),
+    "inter_object_distance": (
+        _build_inter_object_distance, ("scalar",), ("single_view", "multi_view"), 1, 2
+    ),
+    "spatial_layout_mcq": (_build_spatial_layout_mcq, ("choice",), ("single_view",), 1, 2),
+    "object_depth": (_build_object_depth, ("scalar",), ("single_view",), 1, 1),
+    "relative_camera_pose": (
+        _build_relative_camera_pose, ("choice", "pose"), ("multi_view",), 2, 1
+    ),
+    "point_3d_target": (_build_point_3d_target, ("point3",), ("single_view",), 1, 1),
+    "pixel_2d_target": (_build_pixel_2d_target, ("point2",), ("single_view",), 1, 1),
+    "metric_offset_placement": (
+        _build_metric_offset_placement, ("point3",), ("single_view",), 1, 1
+    ),
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 def instantiate(template: Template, scene: Scene, seed: int, sample_id: int = 0) -> Sample:
@@ -1042,10 +1087,8 @@ def instantiate(template: Template, scene: Scene, seed: int, sample_id: int = 0)
     # one context per record: every plan and check shares its tool cache
     ctx = ExecutionContext(scene, "oracle")
     family, fmt = template.family, template.output_format
-    calls, results, answer, views, fields = _BUILDERS[family](ctx, rng, template)
-    # a family with two answer formats words its question per format
-    questions = QUESTION_BANK.get(family) or QUESTION_BANK[f"{family}_{fmt}"]
-    question = _pick(rng, questions).format(**fields)
+    calls, results, answer, views, fields = _FAMILIES[family][0](ctx, rng, template)
+    question = _pick(rng, QUESTION_BANK[family, fmt]).format(**fields)
     steps = [Thought(_pick(rng, THOUGHT_BANK[family]).format(**fields))]
     for call, result in zip(calls, results):
         steps += (call, ToolResult(result))
@@ -1116,22 +1159,21 @@ def allocate_counts(mix: dict, count: int) -> dict:
 
 DEFAULT_MIX = {f: 1.0 / len(FAMILIES) for f in FAMILIES}
 
-_FAMILY_MIN_VIEWS = {"relative_camera_pose": 2}
-_FAMILY_MIN_OBJECTS = {"inter_object_distance": 2, "spatial_layout_mcq": 2}
-
 
 def check_mix_feasible(params: SceneParams, mix: dict) -> None:
-    """Reject mixes whose families can never be satisfied by the params."""
+    """Reject mixes whose families can never be satisfied by the params.
+
+    The families must be known ones; `allocate_counts` checks that first.
+    """
     for family, ratio in mix.items():
         if ratio <= 0:
             continue
-        need_views = _FAMILY_MIN_VIEWS.get(family, 1)
+        _, _, _, need_views, need_objects = _FAMILIES[family]
         if params.view_count[1] < need_views:
             raise ValueError(
                 f"{family} needs at least {need_views} views; params allow "
                 f"at most {params.view_count[1]}"
             )
-        need_objects = _FAMILY_MIN_OBJECTS.get(family, 1)
         if params.object_count[1] < need_objects:
             raise ValueError(
                 f"{family} needs at least {need_objects} objects; params allow "
@@ -1143,15 +1185,12 @@ _RETRY_BUDGET = 40
 
 
 def _template_for(family: str, rng) -> Template:
-    image_config = "single_view"
-    if family == "relative_camera_pose":
-        image_config = "multi_view"
-    elif family == "inter_object_distance" and rng.random() < 0.3:
-        image_config = "multi_view"
-    output_format = FAMILY_FORMATS[family][0]
-    if family == "relative_camera_pose" and rng.random() < 0.25:
-        output_format = "pose"
-    return Template(family, image_config, output_format)
+    """The family's default template; a second image config is drawn with
+    probability 0.3, then a second format with probability 0.25."""
+    _, formats, configs, _, _ = _FAMILIES[family]
+    config = configs[1] if len(configs) > 1 and rng.random() < 0.3 else configs[0]
+    fmt = formats[1] if len(formats) > 1 and rng.random() < 0.25 else formats[0]
+    return Template(family, config, fmt)
 
 
 def build_record(params: SceneParams, family: str, index: int, master_seed: int) -> str:
@@ -1192,8 +1231,8 @@ def generate_records(
         raise ValueError("count must be at least 1")
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, not {jobs!r}")
-    check_mix_feasible(params, mix)
     counts = allocate_counts(mix, count)
+    check_mix_feasible(params, mix)
     assignments = []
     for family in FAMILIES:
         assignments.extend([family] * counts.get(family, 0))

@@ -66,11 +66,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise GeometryError("principal point must lie inside the image")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 class Pose:
     """Rigid camera-from-world transform: p_cam = R @ p_world + t."""

@@ -149,78 +149,62 @@ class RewardBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _signature(v: Value):
-    """Structural type signature; payloads compare only within equal signatures."""
+def _payload(v: Value):
+    """(signature, floats): the structural type signature, and the numeric
+    payload as a float array, or None for a non-numeric value.  Payloads
+    compare only within equal signatures."""
     if isinstance(v, Scalar):
-        return ("scalar", v.unit)
+        return ("scalar", v.unit), np.array([v.value])
     if isinstance(v, Point2):
-        return ("point2", v.pixel)
+        return ("point2", v.pixel), np.array([v.x, v.y])
     if isinstance(v, Point3):
-        return ("point3",)
+        return ("point3",), np.array([v.x, v.y, v.z])
     if isinstance(v, Matrix):
-        return ("matrix", v.shape)
+        return ("matrix", v.shape), np.asarray(v.rows, dtype=float).reshape(-1)
     if isinstance(v, Box2Value):
-        return ("box2",)
+        b = v.box
+        return ("box2",), np.array([b.umin, b.vmin, b.umax, b.vmax])
     if isinstance(v, ObbValue):
-        return ("obb",)
+        b = v.box
+        return ("obb",), np.array(b.center + b.half_extents + (b.yaw,))
     if isinstance(v, ValueList):
-        return ("list",) + tuple(_signature(x) for x in v.items)
+        parts = [_payload(x) for x in v.items]
+        signature = ("list",) + tuple(sig for sig, _ in parts)
+        floats = [f for _, f in parts]
+        if any(f is None for f in floats):
+            return signature, None
+        return signature, np.concatenate(floats) if floats else np.zeros(0)
     if isinstance(v, Choice):
-        return ("choice",)
+        return ("choice",), None
     if isinstance(v, Text):
-        return ("text",)
+        return ("text",), None
     raise TypeError(type(v).__name__)
 
 
-def _flatten(v: Value):
-    """Flatten numeric payload to a float array, or None for non-numeric values."""
-    if isinstance(v, Scalar):
-        return np.array([v.value])
-    if isinstance(v, Point2):
-        return np.array([v.x, v.y])
-    if isinstance(v, Point3):
-        return np.array([v.x, v.y, v.z])
-    if isinstance(v, Matrix):
-        return np.asarray(v.rows, dtype=float).reshape(-1)
-    if isinstance(v, Box2Value):
-        b = v.box
-        return np.array([b.umin, b.vmin, b.umax, b.vmax])
-    if isinstance(v, ObbValue):
-        b = v.box
-        return np.array(b.center + b.half_extents + (b.yaw,))
-    if isinstance(v, ValueList):
-        parts = [_flatten(x) for x in v.items]
-        if any(p is None for p in parts):
-            return None
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
-    return None
+def _continuous_score(pred: Value, gt: Value, scale: float):
+    """(score, distance) of a continuous value against the ground truth.
 
-
-def _distance(pred: Value, gt: Value):
-    """L2 distance between two numeric payloads of one size, else None."""
-    a = _flatten(pred)
-    b = _flatten(gt)
-    if a is None or b is None or a.shape != b.shape:
-        return None
-    return geometry.length(a - b)
-
-
-def _continuous_score(pred: Value, gt: Value, scale: float, distance: float | None) -> float:
-    """exp(-scale * distance) for values of one signature; distance is _distance(pred, gt)."""
-    if _signature(pred) != _signature(gt):
-        return 0.0
-    if distance is None:  # non-numeric payloads fall back to exact match
-        return 1.0 if pred == gt else 0.0
-    return math.exp(-scale * distance)
+    The distance is the L2 between numeric payloads of one size, else None.
+    The score is 0 across signatures, exact match for non-numeric payloads,
+    and exp(-scale * distance) otherwise.
+    """
+    sig_pred, a = _payload(pred)
+    sig_gt, b = _payload(gt)
+    distance = None
+    if a is not None and b is not None and a.shape == b.shape:
+        distance = geometry.length(a - b)
+    if sig_pred != sig_gt:
+        return 0.0, distance
+    if distance is None:
+        return (1.0 if pred == gt else 0.0), None
+    return math.exp(-scale * distance), distance
 
 
 def _values_close(pred: Value, gt: Value, tol: float) -> bool:
-    if _signature(pred) != _signature(gt):
+    sig_pred, a = _payload(pred)
+    sig_gt, b = _payload(gt)
+    if sig_pred != sig_gt:
         return False
-    a = _flatten(pred)
-    b = _flatten(gt)
     if a is None or b is None:
         return pred == gt
     return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))))
@@ -304,10 +288,10 @@ def _param_scores(pred_calls, gt_calls, pairs, alpha: float):
             if _is_discrete_param(name, key):
                 total += 1.0 if pval == gval else 0.0
                 continue
-            distance = _distance(pval, gval)
+            score, distance = _continuous_score(pval, gval, alpha)
             if distance is not None:
                 deltas.append(distance)
-            total += _continuous_score(pval, gval, alpha, distance)
+            total += score
         if deltas:
             distances[p] = math.fsum(deltas)
     return (total / count if count else 1.0), distances
@@ -362,7 +346,7 @@ def score_answer(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None)
         return 0.0
     if pa.format in _DISCRETE_FORMATS:
         return 1.0 if pa.value == ga.value else 0.0
-    return _continuous_score(pa.value, ga.value, cfg.gamma, _distance(pa.value, ga.value))
+    return _continuous_score(pa.value, ga.value, cfg.gamma)[0]
 
 
 def composite_reward(parts: dict, cfg: RewardConfig | None = None) -> float:

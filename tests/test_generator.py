@@ -13,6 +13,8 @@ import tiger.runtime
 from tiger.generator import (
     DEFAULT_MIX,
     FAMILIES,
+    QUESTION_BANK,
+    THOUGHT_BANK,
     GenerationError,
     InsufficientScene,
     PlacementFailure,
@@ -27,7 +29,10 @@ from tiger.generator import (
     generate_scene,
     instantiate,
     regenerate_from_manifest,
+    region_contains,
+    spatial_relation,
     _Draws,
+    _FAMILIES,
     _pair_verdicts,
     self_check,
 )
@@ -43,7 +48,6 @@ from tiger.geometry import (
 from tiger.rewards import check_interval, score_trajectory
 from tiger.runtime import ExecutionContext, run_trajectory
 from tiger.scene import ObjectNode, Scene
-from tiger.scenegraph import Relation, region_contains
 from tiger.minidsl import DslError
 from tiger.trajectory import (
     Choice,
@@ -55,6 +59,8 @@ from tiger.trajectory import (
     parse_trajectory,
     render_trajectory,
 )
+
+from conftest import random_box, random_pose
 
 PARAMS = SceneParams()
 
@@ -331,6 +337,101 @@ class TestTemplates:
         with pytest.raises(ValueError):
             Template("sudoku")
 
+    def test_family_table_is_consistent(self):
+        # the record order, the allocation and so the dataset bytes follow
+        # this order
+        assert FAMILIES == (
+            "object_size",
+            "inter_object_distance",
+            "spatial_layout_mcq",
+            "object_depth",
+            "relative_camera_pose",
+            "point_3d_target",
+            "pixel_2d_target",
+            "metric_offset_placement",
+        )
+        assert set(QUESTION_BANK) == {
+            (family, fmt) for family, entry in _FAMILIES.items() for fmt in entry[1]
+        }
+        assert set(THOUGHT_BANK) == set(FAMILIES)
+
+
+def _box(center, half=(0.2, 0.2, 0.2), yaw=0.0):
+    return OrientedBox3(tuple(center), tuple(half), yaw)
+
+
+_DUALS = {"left_of": "right_of", "right_of": "left_of", "above": "below", "below": "above"}
+
+
+class TestSpatialRelations:
+    def test_directly_above(self):
+        below = _box((0.0, 0.0, 1.0))
+        above = _box((0.0, 0.0, 1.6))  # bottom 1.4 >= top 1.2
+        pose = Pose.identity()
+        assert spatial_relation(above, below, pose, "above")
+        assert spatial_relation(below, above, pose, "below")
+        assert not spatial_relation(above, below, pose, "left_of")
+
+    def test_touching_counts_as_above(self):
+        below = _box((0.0, 0.0, 1.0))
+        stacked = _box((0.0, 0.0, 1.4))
+        assert spatial_relation(stacked, below, Pose.identity(), "above")
+
+    def test_irreflexive(self):
+        box = _box((0.3, 0.1, 1.1), yaw=0.3)
+        pose = Pose.identity()
+        for relation in _DUALS:
+            assert not spatial_relation(box, box, pose, relation)
+
+    def test_left_right_in_camera_frame(self):
+        # camera at origin looking +Z; smaller camera x is left
+        left = _box((-0.6, 0.0, 2.0))
+        right = _box((0.6, 0.0, 2.0))
+        pose = Pose.identity()
+        assert spatial_relation(left, right, pose, "left_of")
+        assert spatial_relation(right, left, pose, "right_of")
+        assert not spatial_relation(left, right, pose, "right_of")
+
+    def test_margin_suppresses_near_ties(self):
+        a = _box((0.0, 0.0, 2.0))
+        pose = Pose.identity()
+        # within the projected half sum (0.4): neither relation holds
+        b = _box((0.39, 0.0, 2.0))
+        assert not spatial_relation(a, b, pose, "left_of")
+        assert not spatial_relation(b, a, pose, "right_of")
+        c = _box((0.45, 0.0, 2.0))
+        assert spatial_relation(a, c, pose, "left_of")
+        # the 2 cm hysteresis floor applies to thin boxes
+        thin_a = _box((0.0, 0.0, 2.0), half=(0.001, 0.001, 0.001))
+        thin_b = _box((0.015, 0.0, 2.0), half=(0.001, 0.001, 0.001))
+        assert not spatial_relation(thin_a, thin_b, pose, "left_of")
+
+    def test_duality_randomized(self):
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            a = random_box(rng, center_span=1.5)
+            b = random_box(rng, center_span=1.5)
+            pose = random_pose(rng)
+            for relation, dual in _DUALS.items():
+                assert spatial_relation(a, b, pose, relation) == spatial_relation(
+                    b, a, pose, dual
+                )
+
+
+class TestRegionContains:
+    def test_floor_clearance_and_relation(self):
+        anchor = _box((0.0, 0.0, 1.0), half=(0.3, 0.3, 0.2))  # bottom at 0.8
+        pose = Pose.identity()
+        assert region_contains((0.0, 0.0, 0.5), anchor, "below", pose, 0.05, 0.3)
+        # on the floor
+        assert not region_contains((0.0, 0.0, 0.3), anchor, "below", pose, 0.05, 0.3)
+        # nearer the anchor than the clearance
+        assert not region_contains((0.0, 0.0, 0.77), anchor, "below", pose, 0.05)
+        # clear of the anchor, but in another region
+        assert not region_contains((0.0, 0.0, 1.5), anchor, "below", pose, 0.05)
+        assert region_contains((0.0, 0.0, 1.5), anchor, "above", pose, 0.05)
+        assert region_contains((-1.0, 0.0, 1.0), anchor, "left_of", pose, 0.05)
+
 
 class TestInstantiate:
     def test_inter_object_distance_two_cubes(self):
@@ -412,7 +513,7 @@ class TestInstantiate:
             assert region_contains(
                 (point_arg.x, point_arg.y, point_arg.z),
                 anchor,
-                Relation.BELOW,
+                "below",
                 scene.views[view],
                 0.05,
                 scene.floor_z,

@@ -46,10 +46,6 @@ class TestIntrinsics:
         with pytest.raises(GeometryError):
             CameraIntrinsics(1.0, 1.0, 11.0, 0.0, 10, 10)
 
-    def test_matrix(self, intrinsics):
-        k = intrinsics.matrix()
-        assert k[0, 0] == intrinsics.fx and k[1, 2] == intrinsics.cy
-
 
 class TestUnprojectProject:
     def test_principal_axis(self, intrinsics):
