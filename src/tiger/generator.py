@@ -1141,8 +1141,9 @@ def allocate_counts(mix: dict, count: int) -> dict:
     for family in mix:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r} in mix")
-    if any(r < 0 for r in mix.values()):
-        raise ValueError("mix ratios must be non-negative")
+    for family, ratio in mix.items():
+        if not (_is_number(ratio) and ratio >= 0):
+            raise ValueError(f"mix ratio of {family} must be a non-negative number, not {ratio!r}")
     if abs(math.fsum(mix.values()) - 1.0) > 1e-9:
         raise ValueError("mix ratios must sum to 1")
     families = [f for f in FAMILIES if mix.get(f, 0) > 0]

@@ -266,21 +266,24 @@ class Program:
     result: tuple
 
     def node_count(self) -> int:
-        def count(node):
+        # an explicit stack, so a long operator chain costs no Python stack
+        stack = [expr for _, expr in self.lets] + [self.result]
+        count = 0
+        while stack:
+            node = stack.pop()
+            count += 1
             kind = node[0]
-            if kind in ("num", "var"):
-                return 1
             if kind == "neg":
-                return 1 + count(node[1])
-            if kind == "bin" or kind == "cmp":
-                return 1 + count(node[2]) + count(node[3])
-            if kind == "if":
-                return 1 + count(node[1]) + count(node[2]) + count(node[3])
-            if kind in ("call", "list"):
-                return 1 + sum(count(a) for a in node[-1])
-            raise AssertionError(kind)
-
-        return sum(count(e) for _, e in self.lets) + count(self.result)
+                stack.append(node[1])
+            elif kind == "bin" or kind == "cmp":
+                stack.extend(node[2:])
+            elif kind == "if":
+                stack.extend(node[1:])
+            elif kind in ("call", "list"):
+                stack.extend(node[-1])
+            elif kind not in ("num", "var"):
+                raise AssertionError(kind)
+        return count
 
 
 def parse_program(source: str, known=()) -> Program:
@@ -344,15 +347,6 @@ def _b_inv3(a):
     if abs(det) < 1e-12:
         raise SingularMatrix("3x3 matrix is singular")
     return inverse
-
-
-def _b_inv_pose(a):
-    m = _mat(a, (4, 4))
-    try:
-        pose = Pose.from_matrix4(m)
-    except geometry.GeometryError as exc:
-        raise TypeMismatch(f"not a rigid pose matrix: {exc}") from exc
-    return geometry.invert(pose).matrix4()
 
 
 def _b_sqrt(x):
@@ -444,7 +438,7 @@ BUILTINS = {
     "matmul": (2, 2, _b_matmul),
     "transpose": (1, 1, lambda a: _mat(a).T.copy()),
     "inv3": (1, 1, _b_inv3),
-    "inv_pose": (1, 1, _b_inv_pose),
+    "inv_pose": (1, 1, lambda a: geometry.invert(_pose_from_mat(a)).matrix4()),
     "rotz": (1, 1, _b_rotz),
     "abs": (1, 1, lambda x: abs(_num(x))),
     "min": (2, 2, lambda a, b: min(_num(a), _num(b))),
@@ -520,11 +514,18 @@ class _Evaluator:
                 return -value
             raise TypeMismatch("cannot negate this value")
         if kind == "bin":
-            op = node[1]
-            left = self.eval(node[2], env)
-            right = self.eval(node[3], env)
-            self._tick()
-            return _apply_binop(op, left, right)
+            # a left-associative chain nests down its left operand; walk that
+            # spine with a loop, so its length costs steps but no Python stack
+            chain = []
+            while node[0] == "bin":
+                chain.append(node)
+                node = node[2]
+            value = self.eval(node, env)
+            for _, op, _, right_node in reversed(chain):
+                right = self.eval(right_node, env)
+                self._tick()
+                value = _apply_binop(op, value, right)
+            return value
         if kind == "cmp":
             op = node[1]
             left = _num(self.eval(node[2], env))

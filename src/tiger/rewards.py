@@ -259,10 +259,7 @@ def _align(pred_calls, gt_calls) -> list:
 
 def _is_discrete_param(tool: str, name: str) -> bool:
     spec = runtime.REGISTRY.get(tool)
-    if spec is None:
-        return True
-    param = spec.param(name)
-    return True if param is None else param.discrete
+    return spec is None or spec.params.get(name) not in runtime.CONTINUOUS_KINDS
 
 
 def _param_scores(pred_calls, gt_calls, pairs, alpha: float):

@@ -58,83 +58,6 @@ class TrajectoryRunError(ToolError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class ToolParam:
-    name: str
-    kind: str  # int | number | point2 | point3 | box2 | string | program | string_list
-    required: bool = True
-    discrete: bool = False
-
-
-@dataclass(frozen=True)
-class ToolSpec:
-    name: str
-    params: tuple
-    # groups of parameter names of which exactly one must be present
-    one_of: tuple = ()
-
-    def param(self, name: str):
-        for p in self.params:
-            if p.name == name:
-                return p
-        return None
-
-
-REGISTRY = {
-    spec.name: spec
-    for spec in (
-        ToolSpec(
-            "camera_intrinsics",
-            (ToolParam("view", "int", discrete=True),),
-        ),
-        ToolSpec(
-            "camera_extrinsics",
-            (ToolParam("view", "int", discrete=True),),
-        ),
-        ToolSpec(
-            "depth_sensor",
-            (
-                ToolParam("view", "int", discrete=True),
-                ToolParam("point", "point2", required=False),
-                ToolParam("box", "box2", required=False),
-            ),
-            one_of=(("point", "box"),),
-        ),
-        ToolSpec(
-            "object_segmentation",
-            (
-                ToolParam("view", "int", discrete=True),
-                ToolParam("box", "box2", required=False),
-                ToolParam("label", "string", required=False, discrete=True),
-            ),
-            one_of=(("box", "label"),),
-        ),
-        ToolSpec(
-            "box_2d_to_box_3d",
-            (
-                ToolParam("view", "int", discrete=True),
-                ToolParam("box", "box2", required=False),
-                ToolParam("label", "string", required=False, discrete=True),
-            ),
-            one_of=(("box", "label"),),
-        ),
-        ToolSpec(
-            "point_3d_to_point_2d",
-            (
-                ToolParam("view", "int", discrete=True),
-                ToolParam("point", "point3"),
-            ),
-        ),
-        ToolSpec(
-            "code_executor",
-            (
-                ToolParam("program", "program", discrete=True),
-                ToolParam("uses", "string_list", required=False, discrete=True),
-            ),
-        ),
-    )
-}
-
 @dataclass
 class ExecutionContext:
     """One run's state: the immutable scene, result bindings and a tool cache.
@@ -174,18 +97,31 @@ class ExecutionContext:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ToolSpec:
+    """One tool's whole contract: its implementation and its argument schema."""
+
+    impl: object  # (ctx, call) -> Value
+    params: dict  # argument name -> kind, in signature order
+    optional: tuple = ()  # the arguments a call may leave out
+    one_of: tuple = ()  # groups of arguments of which exactly one must be given
+
+
+# An argument of one of these kinds is continuous: the parameter reward
+# scores it by distance.  Every other argument is discrete (exact match).
+CONTINUOUS_KINDS = frozenset({"point2", "point3", "box2"})
+
+
 def _kind_ok(kind: str, value: Value) -> bool:
     if kind == "int":
         return isinstance(value, Scalar) and not value.unit and value.value == int(value.value)
-    if kind == "number":
-        return isinstance(value, Scalar)
     if kind == "point2":
         return isinstance(value, Point2) and not value.pixel
     if kind == "point3":
         return isinstance(value, Point3)
     if kind == "box2":
         return isinstance(value, Box2Value)
-    if kind in ("string", "program"):
+    if kind == "string":
         return isinstance(value, Text)
     if kind == "string_list":
         return isinstance(value, ValueList) and all(
@@ -197,28 +133,28 @@ def _kind_ok(kind: str, value: Value) -> bool:
 def check_call(call: ToolCall):
     """Validate tool name and argument structure; scene-independent.
 
-    Returns None when the call is schema-valid, else a message.
+    Returns None when the call is schema-valid, else the UnknownTool or
+    SchemaError that execute_tool raises for it.
     """
     spec = REGISTRY.get(call.name)
     if spec is None:
-        return f"unknown tool {call.name!r}"
+        return UnknownTool(f"unknown tool {call.name!r}")
     seen = set()
     for key, value in call.args:
         if key in seen:
-            return f"duplicate argument {key!r}"
+            return SchemaError(f"duplicate argument {key!r}")
         seen.add(key)
-        param = spec.param(key)
-        if param is None:
-            return f"unexpected argument {key!r}"
-        if not _kind_ok(param.kind, value):
-            return f"argument {key!r} has the wrong type"
-    for param in spec.params:
-        if param.required and param.name not in seen:
-            return f"missing required argument {param.name!r}"
+        kind = spec.params.get(key)
+        if kind is None:
+            return SchemaError(f"unexpected argument {key!r}")
+        if not _kind_ok(kind, value):
+            return SchemaError(f"argument {key!r} has the wrong type")
+    for name in spec.params:
+        if name not in seen and name not in spec.optional:
+            return SchemaError(f"missing required argument {name!r}")
     for group in spec.one_of:
-        present = [name for name in group if name in seen]
-        if len(present) != 1:
-            return f"exactly one of {group} must be given"
+        if sum(name in seen for name in group) != 1:
+            return SchemaError(f"exactly one of {group} must be given")
     return None
 
 
@@ -573,25 +509,44 @@ def _tool_code_executor(ctx, call):
     return _from_dsl(minidsl.evaluate(program, bindings))
 
 
-_TOOL_IMPLS = {
-    "camera_intrinsics": _tool_camera_intrinsics,
-    "camera_extrinsics": _tool_camera_extrinsics,
-    "depth_sensor": _tool_depth_sensor,
-    "object_segmentation": _tool_object_segmentation,
-    "box_2d_to_box_3d": _tool_box_2d_to_box_3d,
-    "point_3d_to_point_2d": _tool_point_3d_to_point_2d,
-    "code_executor": _tool_code_executor,
+REGISTRY = {
+    "camera_intrinsics": ToolSpec(_tool_camera_intrinsics, {"view": "int"}),
+    "camera_extrinsics": ToolSpec(_tool_camera_extrinsics, {"view": "int"}),
+    "depth_sensor": ToolSpec(
+        _tool_depth_sensor,
+        {"view": "int", "point": "point2", "box": "box2"},
+        optional=("point", "box"),
+        one_of=(("point", "box"),),
+    ),
+    "object_segmentation": ToolSpec(
+        _tool_object_segmentation,
+        {"view": "int", "box": "box2", "label": "string"},
+        optional=("box", "label"),
+        one_of=(("box", "label"),),
+    ),
+    "box_2d_to_box_3d": ToolSpec(
+        _tool_box_2d_to_box_3d,
+        {"view": "int", "box": "box2", "label": "string"},
+        optional=("box", "label"),
+        one_of=(("box", "label"),),
+    ),
+    "point_3d_to_point_2d": ToolSpec(
+        _tool_point_3d_to_point_2d, {"view": "int", "point": "point3"}
+    ),
+    "code_executor": ToolSpec(
+        _tool_code_executor,
+        {"program": "string", "uses": "string_list"},
+        optional=("uses",),
+    ),
 }
 
 
 def execute_tool(ctx: ExecutionContext, call: ToolCall) -> Value:
     """Execute one tool call against the context's ground-truth scene."""
-    problem = check_call(call)
-    if problem is not None:
-        if call.name not in REGISTRY:
-            raise UnknownTool(problem)
-        raise SchemaError(problem)
-    return _TOOL_IMPLS[call.name](ctx, call)
+    error = check_call(call)
+    if error is not None:
+        raise error
+    return REGISTRY[call.name].impl(ctx, call)
 
 
 # The failures a tool call reports as a result rather than a crash.

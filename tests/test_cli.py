@@ -151,7 +151,21 @@ class TestGenerate:
         assert code == 1
         assert "views" in capsys.readouterr().err
 
-
+    @pytest.mark.parametrize(
+        "mix", [{"object_size": math.nan}, {"object_size": 1.0, "object_depth": math.nan}]
+    )
+    def test_nan_mix_ratio_exits_one(self, tmp_path, capsys, mix):
+        # Python's json reads NaN, which passes both the sign and the sum test
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"count": 5, "mix": mix}))
+        out = tmp_path / "x.jsonl"
+        code = main(["generate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        family = list(mix)[-1]
+        assert_one_error(
+            capsys, f"bad config: mix ratio of {family} must be a non-negative number, not nan"
+        )
+        assert not out.exists()
     @pytest.mark.parametrize("count", [0, -1, 2.7])
     def test_count_not_a_positive_integer_exits_one(self, tmp_path, capsys, count):
         path = tmp_path / "bad.json"
@@ -519,6 +533,41 @@ def test_run_of_a_non_finite_program_exits_three(tmp_path, dataset, capsys):
     code = main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)])
     assert code == 3
     assert_one_error(capsys, "step 1: ")
+
+
+def _code_trace(program):
+    return (
+        f'<think>x</think><tool_call>code_executor(program="{program}")</tool_call>'
+        "<answer format=scalar>0m</answer>"
+    )
+
+
+# 3,000 additions nest far deeper than Python's recursion limit, within the
+# step budget; 6,000 exceed it
+LONG_SUM = "1" + " + 1" * 3000
+OVER_BUDGET_SUM = "1" + " + 1" * 6000
+
+
+def test_score_of_a_long_operator_chain_runs_it(tmp_path, dataset):
+    record = json.loads(dataset.read_text().splitlines()[0])
+    group = [(record["id"], _code_trace(LONG_SUM)), (record["id"], _code_trace(OVER_BUDGET_SUM))]
+    rows = map(json.loads, _score_lines(tmp_path / "c.jsonl", dataset, group))
+    errors = [[d["error"] for d in row["diagnostics"]] for row in rows]
+    assert errors == [[None], ["step limit exceeded"]]
+
+
+def test_run_and_dsl_of_a_long_operator_chain(tmp_path, dataset, capsys):
+    record = json.loads(dataset.read_text().splitlines()[0])
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(record["scene"]))
+    traj_path = tmp_path / "traj.txt"
+    traj_path.write_text(_code_trace(LONG_SUM))
+    assert main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)]) == 0
+    assert "<tool_response>3001</tool_response>" in capsys.readouterr().out
+    assert main(["dsl", "--program", LONG_SUM]) == 0
+    assert capsys.readouterr().out == "3001\n"
+    assert main(["dsl", "--program", OVER_BUDGET_SUM]) == 1
+    assert_one_error(capsys, "step limit exceeded")
 
 
 class TestScoreGroupCache:

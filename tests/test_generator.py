@@ -667,6 +667,12 @@ class TestAllocation:
             allocate_counts({"sudoku": 1.0}, 10)
         with pytest.raises(ValueError):
             allocate_counts({"object_size": 1.5, "object_depth": -0.5}, 10)
+        # NaN passes both a sign test and a sum test; true is not a number
+        for ratio in (math.nan, True):
+            with pytest.raises(ValueError, match="^mix ratio of object_size must be a non-negative number"):
+                allocate_counts({"object_size": ratio}, 10)
+        with pytest.raises(ValueError, match="^mix ratio of object_depth must be"):
+            allocate_counts({"object_size": 1.0, "object_depth": math.nan}, 10)
 
     def test_infeasible_mix_fails_fast(self):
         one_view = SceneParams(view_count=(1, 1))

@@ -138,8 +138,11 @@ class TestEvaluation:
         pose = random_pose(rng)
         inv = run("inv_pose(m)", {"m": pose.matrix4()})
         assert np.allclose(inv @ pose.matrix4(), np.eye(4), atol=1e-12)
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(TypeMismatch, match=r"^expected a \(4, 4\) matrix, got \(2, 2\)$"):
             run("inv_pose([[1, 2], [3, 4]])")
+        sheared = "[[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+        with pytest.raises(TypeMismatch, match="^not a rigid pose matrix: "):
+            run(f"inv_pose({sheared})")
 
     def test_projection_builtins_delegate(self):
         intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
@@ -252,6 +255,30 @@ class TestLimits:
         program = parse_program("1 + 2 + 3 + 4 + 5")
         with pytest.raises(LimitExceeded):
             evaluate(program, {}, EvalLimits(max_steps=3))
+
+    @pytest.mark.parametrize("op, value", [("+", 3001.0), ("*", 1.0)])
+    def test_long_operator_chain_evaluates(self, op, value):
+        # 3,000 operators nest far deeper than Python's recursion limit
+        program = parse_program("1" + f" {op} 1" * 3000)
+        assert program.node_count() == 6001
+        assert evaluate(program) == value
+
+    def test_over_budget_operator_chain_is_limit_exceeded(self):
+        with pytest.raises(LimitExceeded, match="^step limit exceeded$"):
+            run("1" + " + 1" * 6000)
+
+    def test_chain_keeps_left_to_right_order(self):
+        # the division by zero in the second operand fails before the third
+        # operand's type mismatch is seen, and each costs its steps in order
+        with pytest.raises(DivisionByZero):
+            run("1 + 1 / 0 + vec(1, 2)")
+        with pytest.raises(TypeMismatch, match="^cannot apply - to these operands$"):
+            run("1 - vec(1, 2) + 1 / 0")
+        program = parse_program("1 + 2 * 3 - 4")
+        for budget in range(1, program.node_count()):
+            with pytest.raises(LimitExceeded):
+                evaluate(program, {}, EvalLimits(max_steps=budget))
+        assert evaluate(program, {}, EvalLimits(max_steps=program.node_count())) == 3.0
 
     def test_value_limit_exceeded(self):
         program = parse_program("[1, 2, 3, 4, 5, 6, 7, 8]")

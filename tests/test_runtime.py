@@ -36,6 +36,7 @@ from tiger.runtime import (
     run_trajectory,
 )
 from tiger.minidsl import DslSyntaxError, UnboundIdentifier
+from tiger.rewards import _is_discrete_param
 from tiger.scene import ObjectNode, Scene, UnknownView
 from tiger.trajectory import (
     Box2Value,
@@ -102,6 +103,79 @@ class TestRegistry:
         assert check_call(both) is not None
         dup = ToolCall("camera_intrinsics", (("view", Scalar(0.0)), ("view", Scalar(1.0))))
         assert check_call(dup) is not None
+
+
+SCHEMA_VIOLATIONS = [
+    (call("warp_drive"), UnknownTool, "unknown tool 'warp_drive'"),
+    (
+        ToolCall("camera_intrinsics", (("view", Scalar(0.0)), ("view", Scalar(1.0)))),
+        SchemaError,
+        "duplicate argument 'view'",
+    ),
+    (
+        call("camera_extrinsics", view=Scalar(0.0), zoom=Scalar(2.0)),
+        SchemaError,
+        "unexpected argument 'zoom'",
+    ),
+    (call("camera_intrinsics", view=Scalar(0.5)), SchemaError, "argument 'view' has the wrong type"),
+    (
+        call("camera_intrinsics", view=Scalar(0.0, "m")),
+        SchemaError,
+        "argument 'view' has the wrong type",
+    ),
+    (
+        call("depth_sensor", view=Scalar(0.0), point=Point2(320.0, 240.0, pixel=True)),
+        SchemaError,
+        "argument 'point' has the wrong type",
+    ),
+    (
+        call("code_executor", program=Text("1"), uses=ValueList((Scalar(1.0),))),
+        SchemaError,
+        "argument 'uses' has the wrong type",
+    ),
+    (call("code_executor", program=Scalar(1.0)), SchemaError, "argument 'program' has the wrong type"),
+    (call("camera_intrinsics"), SchemaError, "missing required argument 'view'"),
+    (
+        call("point_3d_to_point_2d", point=Point3(0.0, 0.0, 1.0)),
+        SchemaError,
+        "missing required argument 'view'",
+    ),
+    (
+        call("depth_sensor", view=Scalar(0.0)),
+        SchemaError,
+        "exactly one of ('point', 'box') must be given",
+    ),
+    (
+        call("box_2d_to_box_3d", view=Scalar(0.0), box=Box2Value(Box2(0, 0, 1, 1)), label=Text("mug")),
+        SchemaError,
+        "exactly one of ('box', 'label') must be given",
+    ),
+]
+
+
+class TestSchemaMessages:
+    """Each schema rule's exception class and message, as execute_tool raises them."""
+
+    @pytest.mark.parametrize("bad, error, message", SCHEMA_VIOLATIONS)
+    def test_violation_raises_its_error(self, ctx, bad, error, message):
+        assert check_call(bad) is not None
+        with pytest.raises(error) as info:
+            execute_tool(ctx, bad)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_continuous_arguments(self):
+        names = ("view", "point", "box", "label", "program", "uses")
+        continuous = {
+            (tool, name) for tool in REGISTRY for name in names if not _is_discrete_param(tool, name)
+        }
+        assert continuous == {
+            ("depth_sensor", "point"),
+            ("depth_sensor", "box"),
+            ("object_segmentation", "box"),
+            ("box_2d_to_box_3d", "box"),
+            ("point_3d_to_point_2d", "point"),
+        }
 
 
 class TestCameraTools:
