@@ -82,6 +82,10 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"let", "if", "then", "else"}
 
+# Parsing is bounded as evaluation is: a program of more tokens than twice the
+# default step budget is refused while it is read, before any parse.
+_MAX_TOKENS = 2 * EvalLimits.max_steps
+
 
 def _tokenize(source: str):
     tokens = []
@@ -93,6 +97,8 @@ def _tokenize(source: str):
         pos = m.end()
         if m.lastgroup == "ws":
             continue
+        if len(tokens) == _MAX_TOKENS:
+            raise LimitExceeded(f"program has more than {_MAX_TOKENS} tokens")
         tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("eof", "", len(source)))
     return tokens

@@ -21,27 +21,10 @@ import numpy as np
 from . import geometry, runtime
 from .runtime import ExecutionContext, check_call, execute_calls
 from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
-from .trajectory import (
-    Box2Value,
-    Choice,
-    Matrix,
-    ObbValue,
-    Point2,
-    Point3,
-    Scalar,
-    Text,
-    ToolCall,
-    ToolResult,
-    Trajectory,
-    Value,
-    ValueList,
-    validate_format,
-)
+from .trajectory import ToolCall, ToolResult, Trajectory, Value, payload, validate_format
 
 REWARD_KEYS = ("format", "tool", "param", "code", "answer")
 DEFAULT_WEIGHTS = {"format": 0.1, "tool": 0.2, "param": 0.2, "code": 0.2, "answer": 0.3}
-
-_DISCRETE_FORMATS = ("choice", "text")
 
 
 class NonPositiveGroundTruth(ValueError):
@@ -149,38 +132,6 @@ class RewardBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _payload(v: Value):
-    """(signature, floats): the structural type signature, and the numeric
-    payload as a float array, or None for a non-numeric value.  Payloads
-    compare only within equal signatures."""
-    if isinstance(v, Scalar):
-        return ("scalar", v.unit), np.array([v.value])
-    if isinstance(v, Point2):
-        return ("point2", v.pixel), np.array([v.x, v.y])
-    if isinstance(v, Point3):
-        return ("point3",), np.array([v.x, v.y, v.z])
-    if isinstance(v, Matrix):
-        return ("matrix", v.shape), np.asarray(v.rows, dtype=float).reshape(-1)
-    if isinstance(v, Box2Value):
-        b = v.box
-        return ("box2",), np.array([b.umin, b.vmin, b.umax, b.vmax])
-    if isinstance(v, ObbValue):
-        b = v.box
-        return ("obb",), np.array(b.center + b.half_extents + (b.yaw,))
-    if isinstance(v, ValueList):
-        parts = [_payload(x) for x in v.items]
-        signature = ("list",) + tuple(sig for sig, _ in parts)
-        floats = [f for _, f in parts]
-        if any(f is None for f in floats):
-            return signature, None
-        return signature, np.concatenate(floats) if floats else np.zeros(0)
-    if isinstance(v, Choice):
-        return ("choice",), None
-    if isinstance(v, Text):
-        return ("text",), None
-    raise TypeError(type(v).__name__)
-
-
 def _continuous_score(pred: Value, gt: Value, scale: float):
     """(score, distance) of a continuous value against the ground truth.
 
@@ -188,11 +139,11 @@ def _continuous_score(pred: Value, gt: Value, scale: float):
     The score is 0 across signatures, exact match for non-numeric payloads,
     and exp(-scale * distance) otherwise.
     """
-    sig_pred, a = _payload(pred)
-    sig_gt, b = _payload(gt)
+    sig_pred, a = payload(pred)
+    sig_gt, b = payload(gt)
     distance = None
-    if a is not None and b is not None and a.shape == b.shape:
-        distance = geometry.length(a - b)
+    if a is not None and b is not None and len(a) == len(b):
+        distance = geometry.length([x - y for x, y in zip(a, b)])
     if sig_pred != sig_gt:
         return 0.0, distance
     if distance is None:
@@ -201,13 +152,13 @@ def _continuous_score(pred: Value, gt: Value, scale: float):
 
 
 def _values_close(pred: Value, gt: Value, tol: float) -> bool:
-    sig_pred, a = _payload(pred)
-    sig_gt, b = _payload(gt)
+    sig_pred, a = payload(pred)
+    sig_gt, b = payload(gt)
     if sig_pred != sig_gt:
         return False
     if a is None or b is None:
         return pred == gt
-    return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))))
+    return all(abs(x - y) <= tol * max(1.0, abs(y)) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +287,13 @@ def _code_score(pairs, values, gt: Trajectory, gt_steps, cfg: RewardConfig) -> f
 
 
 def score_answer(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None) -> float:
+    """exp(-gamma * L2) between the answers' payloads under one tag; a choice
+    or a text, which has no numbers, scores by exact match."""
     cfg = cfg or RewardConfig()
     pa = t.answer
     ga = gt.answer
     if pa is None or ga is None or pa.format != ga.format:
         return 0.0
-    if pa.format in _DISCRETE_FORMATS:
-        return 1.0 if pa.value == ga.value else 0.0
     return _continuous_score(pa.value, ga.value, cfg.gamma)[0]
 
 

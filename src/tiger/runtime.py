@@ -18,18 +18,18 @@ from . import geometry, minidsl
 from .geometry import OrientedBox3, fit_obb, invert, project, transform, yaw_local
 from .scene import Scene, UnknownView
 from .trajectory import (
-    Box2Value,
+    KINDS,
     Matrix,
     ObbValue,
     Point2,
     Point3,
     Scalar,
-    Text,
     ToolCall,
     ToolResult,
     Trajectory,
     Value,
     ValueList,
+    payload,
 )
 
 
@@ -112,24 +112,6 @@ class ToolSpec:
 CONTINUOUS_KINDS = frozenset({"point2", "point3", "box2"})
 
 
-def _kind_ok(kind: str, value: Value) -> bool:
-    if kind == "int":
-        return isinstance(value, Scalar) and not value.unit and value.value == int(value.value)
-    if kind == "point2":
-        return isinstance(value, Point2) and not value.pixel
-    if kind == "point3":
-        return isinstance(value, Point3)
-    if kind == "box2":
-        return isinstance(value, Box2Value)
-    if kind == "string":
-        return isinstance(value, Text)
-    if kind == "string_list":
-        return isinstance(value, ValueList) and all(
-            isinstance(x, Text) for x in value.items
-        )
-    raise AssertionError(kind)
-
-
 def check_call(call: ToolCall):
     """Validate tool name and argument structure; scene-independent.
 
@@ -147,7 +129,7 @@ def check_call(call: ToolCall):
         kind = spec.params.get(key)
         if kind is None:
             return SchemaError(f"unexpected argument {key!r}")
-        if not _kind_ok(kind, value):
+        if not KINDS[kind](value):
             return SchemaError(f"argument {key!r} has the wrong type")
     for name in spec.params:
         if name not in seen and name not in spec.optional:
@@ -444,24 +426,22 @@ def _tool_point_3d_to_point_2d(ctx, call):
 
 
 def _to_dsl(value: Value):
+    """A value as a program sees it: a float for a scalar, the box of an obb,
+    a tuple for a list that is not all scalars, and else the numbers of its
+    payload as a vector, or as a matrix for a matrix."""
     if isinstance(value, Scalar):
         return value.value
-    if isinstance(value, Point2):
-        return np.array([value.x, value.y])
-    if isinstance(value, Point3):
-        return np.array([value.x, value.y, value.z])
-    if isinstance(value, Matrix):
-        return np.array(value.rows, dtype=float)
     if isinstance(value, ObbValue):
         return value.box
-    if isinstance(value, Box2Value):
-        b = value.box
-        return np.array([b.umin, b.vmin, b.umax, b.vmax])
-    if isinstance(value, ValueList):
-        if value.items and all(isinstance(x, Scalar) for x in value.items):
-            return np.array([x.value for x in value.items])
+    if isinstance(value, ValueList) and not (
+        value.items and all(isinstance(x, Scalar) for x in value.items)
+    ):
         return tuple(_to_dsl(x) for x in value.items)
-    raise SchemaError(f"cannot bind a {type(value).__name__} into a program")
+    _, numbers = payload(value)
+    if numbers is None:
+        raise SchemaError(f"cannot bind a {type(value).__name__} into a program")
+    array = np.array(numbers, dtype=float)
+    return array.reshape(value.shape) if isinstance(value, Matrix) else array
 
 
 def _from_dsl(result) -> Value:
@@ -520,13 +500,13 @@ REGISTRY = {
     ),
     "object_segmentation": ToolSpec(
         _tool_object_segmentation,
-        {"view": "int", "box": "box2", "label": "string"},
+        {"view": "int", "box": "box2", "label": "text"},
         optional=("box", "label"),
         one_of=(("box", "label"),),
     ),
     "box_2d_to_box_3d": ToolSpec(
         _tool_box_2d_to_box_3d,
-        {"view": "int", "box": "box2", "label": "string"},
+        {"view": "int", "box": "box2", "label": "text"},
         optional=("box", "label"),
         one_of=(("box", "label"),),
     ),
@@ -535,7 +515,7 @@ REGISTRY = {
     ),
     "code_executor": ToolSpec(
         _tool_code_executor,
-        {"program": "string", "uses": "string_list"},
+        {"program": "text", "uses": "text_list"},
         optional=("uses",),
     ),
 }

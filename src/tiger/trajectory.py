@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .geometry import Box2, OrientedBox3
 
@@ -607,6 +608,60 @@ def render_trajectory(t: Trajectory) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Value kinds and numeric payloads
+# ---------------------------------------------------------------------------
+
+# kind name -> whether a value is of that kind; tool arguments (see
+# runtime.REGISTRY) and answer tags name kinds from this one table
+KINDS = {
+    "int": lambda v: isinstance(v, Scalar) and not v.unit and v.value == int(v.value),
+    "scalar": lambda v: isinstance(v, Scalar),
+    "choice": lambda v: isinstance(v, Choice),
+    "point2": lambda v: isinstance(v, Point2) and not v.pixel,
+    "point3": lambda v: isinstance(v, Point3),
+    "box2": lambda v: isinstance(v, Box2Value),
+    "pose": lambda v: isinstance(v, Matrix) and v.shape == (4, 4),
+    "text": lambda v: isinstance(v, Text),
+    "text_list": lambda v: isinstance(v, ValueList) and all(isinstance(x, Text) for x in v.items),
+}
+# the kinds an answer tag may name; the others are tool-argument kinds only
+ANSWER_FORMATS = frozenset({"choice", "scalar", "point2", "point3", "pose", "text"})
+
+
+def payload(v: Value):
+    """(signature, numbers): the structural type signature, and the numbers
+    of the value as a flat tuple, or None for a non-numeric value.  Payloads
+    compare only within equal signatures, which fix how many numbers there
+    are."""
+    if isinstance(v, Scalar):
+        return ("scalar", v.unit), (v.value,)
+    if isinstance(v, Point2):
+        return ("point2", v.pixel), (v.x, v.y)
+    if isinstance(v, Point3):
+        return ("point3",), (v.x, v.y, v.z)
+    if isinstance(v, Matrix):
+        return ("matrix", v.shape), tuple(x for row in v.rows for x in row)
+    if isinstance(v, Box2Value):
+        b = v.box
+        return ("box2",), (b.umin, b.vmin, b.umax, b.vmax)
+    if isinstance(v, ObbValue):
+        b = v.box
+        return ("obb",), b.center + b.half_extents + (b.yaw,)
+    if isinstance(v, ValueList):
+        parts = [payload(x) for x in v.items]
+        signature = ("list",) + tuple(sig for sig, _ in parts)
+        numbers = [numbers for _, numbers in parts]
+        if None in numbers:
+            return signature, None
+        return signature, tuple(chain.from_iterable(numbers))
+    if isinstance(v, Choice):
+        return ("choice",), None
+    if isinstance(v, Text):
+        return ("text",), None
+    raise TypeError(type(v).__name__)
+
+
+# ---------------------------------------------------------------------------
 # Format validation
 # ---------------------------------------------------------------------------
 
@@ -626,28 +681,6 @@ def _value_well_typed(v: Value) -> bool:
     if isinstance(v, ValueList):
         return all(_value_well_typed(x) for x in v.items)
     return True
-
-
-def _answer_matches(tag: str, v: Value) -> bool:
-    if tag == "choice":
-        return isinstance(v, Choice)
-    if tag == "scalar":
-        return isinstance(v, Scalar)
-    if tag == "point2":
-        if isinstance(v, Point2) and not v.pixel:
-            return True
-        return (
-            isinstance(v, ValueList)
-            and len(v.items) > 0
-            and all(isinstance(x, Point2) and not x.pixel for x in v.items)
-        )
-    if tag == "point3":
-        return isinstance(v, Point3)
-    if tag == "pose":
-        return isinstance(v, Matrix) and v.shape == (4, 4)
-    if tag == "text":
-        return isinstance(v, Text)
-    return False
 
 
 def validate_format(t: Trajectory) -> bool:
@@ -670,5 +703,11 @@ def validate_format(t: Trajectory) -> bool:
         for v in _values_in(s):
             if not _value_well_typed(v):
                 return False
-    answer = steps[-1]
-    return _answer_matches(answer.format, answer.value)
+    tag, value = steps[-1].format, steps[-1].value
+    if tag not in ANSWER_FORMATS:
+        return False
+    is_kind = KINDS[tag]
+    # a point2 answer may also be a non-empty list of points
+    if tag == "point2" and isinstance(value, ValueList) and value.items:
+        return all(map(is_kind, value.items))
+    return is_kind(value)

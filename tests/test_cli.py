@@ -570,6 +570,22 @@ def test_run_and_dsl_of_a_long_operator_chain(tmp_path, dataset, capsys):
     assert_one_error(capsys, "step limit exceeded")
 
 
+# 800 KB: far past the token bound, so it fails as it is read
+OVERLONG_SUM = "1" + " + 1" * 200_000
+
+
+def test_score_and_dsl_of_an_overlong_program(tmp_path, dataset, capsys):
+    record = json.loads(dataset.read_text().splitlines()[0])
+    group = [(record["id"], _code_trace(OVERLONG_SUM))]
+    (row,) = map(json.loads, _score_lines(tmp_path / "c.jsonl", dataset, group))
+    assert [d["error"] for d in row["diagnostics"]] == ["program has more than 20000 tokens"]
+    capsys.readouterr()
+    program = tmp_path / "long.dsl"
+    program.write_text(OVERLONG_SUM)
+    assert main(["dsl", "--file", str(program)]) == 1
+    assert_one_error(capsys, "program has more than 20000 tokens")
+
+
 class TestScoreGroupCache:
     """Consecutive candidates for one id share one tool cache."""
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ class TestLimits:
     def test_over_budget_operator_chain_is_limit_exceeded(self):
         with pytest.raises(LimitExceeded, match="^step limit exceeded$"):
             run("1" + " + 1" * 6000)
+
+    def test_long_source_is_refused_before_it_is_parsed(self):
+        # an 800 KB chain would tokenize and parse for over a second before
+        # the step budget stopped it
+        source = "1" + " + 1" * 200_000
+        assert len(source) > 800_000
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="^program has more than 20000 tokens$"):
+            parse_program(source)
+        assert time.perf_counter() - start < 0.1
+        # the same bound refuses tokens in a branch that would not run
+        with pytest.raises(LimitExceeded):
+            run("if 1 < 2 then 1 else 1" + " + 1" * 10_000)
 
     def test_chain_keeps_left_to_right_order(self):
         # the division by zero in the second operand fails before the third

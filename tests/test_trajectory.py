@@ -5,8 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tiger.generator import _FAMILIES
 from tiger.geometry import Box2, OrientedBox3
+from tiger.runtime import REGISTRY
 from tiger.trajectory import (
+    ANSWER_FORMATS,
+    KINDS,
     Answer,
     Box2Value,
     Choice,
@@ -23,10 +27,12 @@ from tiger.trajectory import (
     Trajectory,
     TrajectoryError,
     TrajectorySyntaxError,
+    Value,
     ValueList,
     format_number,
     parse_trajectory,
     parse_value,
+    payload,
     render_trajectory,
     render_value,
     validate_format,
@@ -255,6 +261,13 @@ class TestValidateFormat:
         t = parse_trajectory("<think>x</think><answer format=blob>1</answer>")
         assert validate_format(t) is False
 
+    @pytest.mark.parametrize("tag", ["int", "box2", "text_list"])
+    def test_argument_only_kind_is_no_answer_tag(self, tag):
+        value = {"int": "1", "box2": "box(0, 0, 1, 1)", "text_list": '["a"]'}[tag]
+        t = parse_trajectory(f"<think>x</think><answer format={tag}>{value}</answer>")
+        assert KINDS[tag](t.answer.value)
+        assert validate_format(t) is False
+
     def test_programmatic_bad_ordering(self):
         t = Trajectory(
             (
@@ -264,6 +277,43 @@ class TestValidateFormat:
             )
         )
         assert validate_format(t) is False
+
+
+# one value of every Value subclass
+EVERY_KIND_OF_VALUE = (
+    Scalar(1.5, "m"),
+    Choice("B"),
+    Point2(0.25, 0.5),
+    Point2(320.0, 240.0, pixel=True),
+    Point3(1.0, 2.0, 3.0),
+    Matrix(((1.0, 2.0), (3.0, 4.0))),
+    Text("mug"),
+    Box2Value(Box2(0, 0, 4, 3)),
+    ObbValue(OrientedBox3((0.0, 0.0, 0.5), (0.1, 0.2, 0.3), 0.4)),
+    ValueList((Scalar(1.0), Point2(0.5, 0.5))),
+)
+
+
+class TestKinds:
+    """One table of value kinds serves tool arguments and answer tags."""
+
+    def test_every_argument_kind_is_in_the_table(self):
+        named = {kind for spec in REGISTRY.values() for kind in spec.params.values()}
+        assert named <= set(KINDS)
+
+    def test_every_answer_format_is_in_the_table(self):
+        formats = {fmt for entry in _FAMILIES.values() for fmt in entry[1]}
+        assert formats <= ANSWER_FORMATS <= set(KINDS)
+
+    def test_payload_covers_every_value_class(self):
+        assert {type(v) for v in EVERY_KIND_OF_VALUE} == set(Value.__subclasses__())
+        for v in EVERY_KIND_OF_VALUE:
+            payload(v)
+        assert payload(EVERY_KIND_OF_VALUE[-1]) == (
+            ("list", ("scalar", ""), ("point2", False)),
+            (1.0, 0.5, 0.5),
+        )
+        assert payload(ValueList((Scalar(1.0), Text("a"))))[1] is None
 
 
 class TestParserTotality:
