@@ -19,7 +19,7 @@ from . import generator, minidsl
 from .generator import GenerationError, PlacementFailure, SceneParams, generate_dataset
 from .rewards import RewardConfig, evaluate_delta2, check_interval, score_trajectory
 from .runtime import ExecutionContext, ToolError, TrajectoryRunError, run_trajectory
-from .scene import Scene, SceneError
+from .scene import Scene
 from .trajectory import (
     parse_trajectory,
     parse_value,
@@ -210,10 +210,15 @@ def cmd_score(args) -> int:
 def cmd_run(args) -> int:
     try:
         scene = Scene.load(args.scene)
+    except ValueError as exc:  # a malformed JSON or scene document
+        return _fail(f"{args.scene}: {exc}")
+    except OSError as exc:
+        return _fail(str(exc))
+    try:
         with open(args.trajectory, "r", encoding="utf-8") as f:
             text = f.read()
         trajectory = parse_trajectory(text)
-    except (OSError, SceneError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     ctx = ExecutionContext(scene, args.mode)
     try:

@@ -61,6 +61,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        # Python's json reads Infinity, and inf passes a sign test
+        if not all(math.isfinite(x) for x in (self.fx, self.fy, self.cx, self.cy)):
+            raise GeometryError("intrinsics must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise GeometryError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

@@ -189,19 +189,31 @@ def cast_rays(scene: Scene, view: int, u, v):
 
     Every number a ray's result is computed from is one of geometry's
     fixed-order elementwise sums, with no BLAS product: the direction
-    matvec3(R^T, (u - cx) / fx, (v - cy) / fy, 1), the centre pose.center()
-    and the slab locals yaw_local.  A ray's bits therefore depend only on its
-    own pixel, never on the batch it is cast in or on the CPU, and any window
-    of a cast equals a fresh cast of that window; so the rays can be cast in
-    blocks of about _BLOCK_RAYS along the first axis, which keeps every
-    temporary small.
+    matvec3(R^T, a, b, 1) with a = (u - cx) / fx and b = (v - cy) / fy, the
+    centre pose.center() and the slab locals yaw_local.  A ray's bits
+    therefore depend only on its own pixel, never on the batch it is cast in
+    or on the CPU, and any window of a cast equals a fresh cast of that
+    window; so the rays can be cast in blocks of about _BLOCK_RAYS along the
+    first axis, which keeps every temporary small.
 
-    An object whose corners all lie in front of the camera is tested only
-    against the rays within 1 px of its corners' pixel bounds
-    (geometry.corner_pixel_bounds, as in Scene.project_box): it projects
-    inside the hull of its projected corners, and 1 px is far above rounding
-    error.  Any other object is tested against every ray.  Either way the
-    result is that of testing every ray against every object.
+    Each block first gets the floor's depth and owner, from dz = R^T[2]·(a,
+    b, 1) alone.  Then each object is tested only inside a rectangle of the
+    block: along each axis, the index range of the u and v factors within
+    1 px of its corners' pixel bounds (geometry.corner_pixel_bounds).  An
+    object projects inside the hull of its projected corners, and 1 px is
+    far above rounding error.  Its rays' directions come from the sliced
+    factors, and its results land in basic-slice views, with no gather or
+    scatter.  An object with a corner not in front of the camera is tested
+    against the whole block.  Either way the result is that of testing every
+    ray against every object and then the floor: a ray keeps the first
+    object with the least depth, and an object wins a tie with the floor, so
+    an object takes a ray where its depth is less than the best, or equal
+    to it while the floor owns the ray.
+
+    The corner bounds are constants of the immutable scene, so the Scene
+    keeps them per view (Scene.pixel_bounds), not the context cache: then
+    the generator's replay audit, which runs in a fresh context to recompute
+    every tool result, does not recompute these scene constants too.
     """
     pose = scene.pose(view)
     k = scene.intrinsics
@@ -210,44 +222,54 @@ def cast_rays(scene: Scene, view: int, u, v):
     shape = np.broadcast_shapes(u.shape, v.shape)
     u = u.reshape((1,) * (len(shape) - u.ndim) + u.shape)
     v = v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
-    rot_t = pose.rotation.T
+    a, b = (u - k.cx) / k.fx, (v - k.cy) / k.fy
+    rot_t = pose.rotation.T.tolist()
     origin = pose.center().tolist()
-    bounds = [geometry.corner_pixel_bounds(obj.box3, k, pose) for obj in scene.objects]
+    rects = []  # each object's [start, stop) index range along each axis, or None
+    for box in scene.pixel_bounds(view):
+        rect = [[0, n] for n in shape]
+        if box is not None:
+            u_lo, u_hi, v_lo, v_hi = box
+            for f, lo, hi in ((u, u_lo, u_hi), (v, v_lo, v_hi)):
+                hits = ((f >= lo - 1.0) & (f <= hi + 1.0)).nonzero()
+                for span, at, n in zip(rect, hits, f.shape):
+                    if at.size == 0:
+                        span[1] = 0
+                    elif n > 1:
+                        span[:] = max(span[0], int(at.min())), min(span[1], int(at.max()) + 1)
+        rects.append(rect if all(lo < hi for lo, hi in rect) else None)
     depths = np.empty(shape)
     owners = np.empty(shape, dtype=int)
     step = max(1, _BLOCK_RAYS // max(1, math.prod(shape[1:])))
     for start in range(0, shape[0], step):
-        block = slice(start, start + step)
-        ub = u[block] if u.shape[0] > 1 else u
-        vb = v[block] if v.shape[0] > 1 else v
-        dx, dy, dz = (
-            d.reshape(-1)
-            for d in geometry.matvec3(rot_t, (ub - k.cx) / k.fx, (vb - k.cy) / k.fy, 1.0)
-        )
-        best = depths[block].reshape(-1)
-        owner = owners[block].reshape(-1)
-        best.fill(np.inf)
-        owner.fill(-1)
-        for idx, (obj, box) in enumerate(zip(scene.objects, bounds)):
-            if box is None:
-                rays = np.arange(dx.size)
-            else:
-                u_lo, u_hi, v_lo, v_hi = box
-                on_u = (ub >= u_lo - 1.0) & (ub <= u_hi + 1.0)
-                on_v = (vb >= v_lo - 1.0) & (vb <= v_hi + 1.0)
-                rays = np.flatnonzero(on_u & on_v)
-                if rays.size == 0:
-                    continue
-            t = _ray_box_params(origin, dx[rays], dy[rays], dz[rays], obj.box3)
-            closer = t < best[rays]
-            best[rays[closer]] = t[closer]
-            owner[rays[closer]] = idx
+        stop = min(start + step, shape[0])
+        best, owner = depths[start:stop], owners[start:stop]
+        (dz,) = geometry.matvec3(rot_t[2:], *_factors(a, b, (slice(start, stop),)), 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_floor = (scene.floor_z - origin[2]) / dz
-        closer = (t_floor < best) & (t_floor > _EPS) & (np.abs(dz) > _EPS)
-        np.copyto(best, t_floor, where=closer)
-        owner[closer] = -2
+            np.divide(scene.floor_z - origin[2], dz, out=best)
+        # a depth that overflows to inf is no floor hit
+        floor = (best > _EPS) & (best < np.inf) & (np.abs(dz) > _EPS)
+        best[~floor] = np.inf
+        np.subtract(-1, floor, out=owner)  # -2 on the floor, else -1
+        for idx, (obj, rect) in enumerate(zip(scene.objects, rects)):
+            if rect is None:
+                continue
+            (lo, hi), *rest = rect
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo >= hi:
+                continue
+            window = (slice(lo, hi), *(slice(*span) for span in rest))
+            t = _ray_box_params(origin, *geometry.matvec3(rot_t, *_factors(a, b, window), 1.0), obj.box3)
+            best, owner = depths[window], owners[window]
+            closer = (t < best) | ((t == best) & (owner == -2))
+            np.copyto(best, t, where=closer)
+            np.copyto(owner, idx, where=closer)
     return depths, owners
+
+
+def _factors(a, b, window):
+    """a and b sliced to a window of their broadcast shape; an axis of size 1 broadcasts as is."""
+    return tuple(f[tuple(s if n > 1 else slice(None) for s, n in zip(window, f.shape))] for f in (a, b))
 
 
 def _pixel_grid(box: geometry.Box2, width: int, height: int, max_per_axis=None):
@@ -368,10 +390,12 @@ def _tool_depth_sensor(ctx, call):
     valid = depths[np.isfinite(depths)]
     if valid.size == 0:
         raise EmptyRegion("no valid depth inside the 2D box")
+    # the mean first: the median then partitions valid, a fresh copy, in place
+    mean = float(valid.mean())
     return ValueList(
         (
-            Scalar(float(np.median(valid))),
-            Scalar(float(valid.mean())),
+            Scalar(float(np.median(valid, overwrite_input=True))),
+            Scalar(mean),
             Scalar(float(valid.size) / float(depths.size)),
         )
     )

@@ -33,7 +33,7 @@ class ObjectNode:
 class Scene:
     """Immutable ground-truth world shared by all tool executions."""
 
-    __slots__ = ("intrinsics", "views", "objects", "floor_z")
+    __slots__ = ("intrinsics", "views", "objects", "floor_z", "_pixel_bounds")
 
     def __init__(self, intrinsics, views, objects, floor_z=0.0):
         views = tuple(views)
@@ -52,6 +52,7 @@ class Scene:
         object.__setattr__(self, "views", views)
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "floor_z", float(floor_z))
+        object.__setattr__(self, "_pixel_bounds", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Scene is immutable")
@@ -64,14 +65,23 @@ class Scene:
     def objects_by_label(self, label: str):
         return [o for o in self.objects if o.label == label]
 
+    def pixel_bounds(self, view: int) -> tuple:
+        """Each object's corner_pixel_bounds in a view, computed on the view's first use."""
+        pose = self.pose(view)
+        bounds = self._pixel_bounds.get(view)
+        if bounds is None:
+            bounds = tuple(corner_pixel_bounds(o.box3, self.intrinsics, pose) for o in self.objects)
+            self._pixel_bounds[view] = bounds
+        return bounds
+
     def project_box(self, obj: ObjectNode, view: int):
-        """Image-plane bounding box of an object's corners, or None.
+        """Image-plane bounding box of one of the scene's objects, or None.
 
         Returns None when any corner is behind the camera or the projection
         misses the image entirely; the result is clipped to image bounds.
         """
         k = self.intrinsics
-        bounds = corner_pixel_bounds(obj.box3, k, self.pose(view))
+        bounds = self.pixel_bounds(view)[self.objects.index(obj)]
         if bounds is None:
             return None
         umin, umax, vmin, vmax = bounds

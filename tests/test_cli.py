@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tiger
 import tiger.generator
@@ -342,6 +346,7 @@ class TestScore:
             ("pose", "abc"),
             ("pose", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             ("fx", "x"),
+            ("fx", math.inf),  # Python's json writes and reads Infinity
             ("half_extents", [-0.1, 0.1, 0.1]),
             ("center", [0.0, 0.0]),
             ("scene", []),
@@ -871,6 +876,78 @@ class TestRun:
         code = main(["run", *args])
         assert code == 1
         assert_one_error(capsys, f"cannot write {out}: ")
+
+    def test_infinite_focal_length_exits_one(self, tmp_path, dataset, capsys):
+        # Python's json reads Infinity, which passes a sign test
+        record = json.loads(dataset.read_text().splitlines()[0])
+        record["scene"]["intrinsics"]["fx"] = math.inf
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(record["scene"]))
+        assert '"fx": Infinity' in scene_path.read_text()
+        traj_path = tmp_path / "traj.txt"
+        traj_path.write_text(record["trajectory"])
+        assert main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)]) == 1
+        assert_one_error(capsys, f"{scene_path}: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_records(tmp_path_factory):
+    """(scene path, trace text) of one generated record per family."""
+    root = tmp_path_factory.mktemp("fuzz")
+    records, _counts = tiger.generator.generate_records(SceneParams(object_count=(2, 4)), DEFAULT_MIX, 8, 31)
+    pairs = []
+    for n, line in enumerate(records):
+        record = json.loads(line)
+        scene_path = root / f"scene{n}.json"
+        scene_path.write_text(json.dumps(record["scene"]))
+        pairs.append((scene_path, record["trajectory"]))
+    return root, pairs
+
+
+# pieces of the trace grammar, so that insertions reach past the tokenizer
+_FRAGMENTS = (
+    "<think>", "</think>", "<tool_call>", "</tool_call>", "<tool_response>", "</tool_response>",
+    "<answer format=scalar>", "</answer>", "view=", "box=box(", "point=", "label=", "(", ")",
+    ",", '"', "=", "r1", "0", "-1", "640", "1e308", "nan", "inf", " ", "\n",
+)
+_EDIT = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 40)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_FRAGMENTS) | st.text(max_size=6)),
+    st.tuples(st.just("splice"), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 80)),
+)
+
+
+def _edited(text, edits):
+    """text after each deletion, insertion, or splice of one of its own fragments."""
+    for op, at, *rest in edits:
+        at %= len(text) + 1
+        if op == "delete":
+            text = text[:at] + text[at + rest[0]:]
+        elif op == "insert":
+            text = text[:at] + rest[0] + text[at:]
+        else:
+            source = rest[0] % (len(text) + 1)
+            text = text[:at] + text[source:source + rest[1]] + text[at:]
+    return text
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    index=st.integers(0, 7),
+    edits=st.lists(_EDIT, min_size=1, max_size=4),
+    mode=st.sampled_from(["oracle", "fitted"]),
+)
+def test_run_of_a_mutated_trace_never_raises(fuzz_records, index, edits, mode):
+    root, pairs = fuzz_records
+    scene_path, text = pairs[index]
+    traj_path = root / "trace.txt"
+    traj_path.write_text(_edited(text, edits), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path), "--mode", mode])
+    assert code in (0, 1, 3)
+    assert (code == 0) == (err.getvalue() == "")
+    assert code == 0 or err.getvalue().startswith("error: ")
 
 
 class TestEval:

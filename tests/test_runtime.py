@@ -15,6 +15,7 @@ from tiger.geometry import (
     CameraIntrinsics,
     OrientedBox3,
     Pose,
+    corner_pixel_bounds,
     invert,
     transform,
     unproject,
@@ -408,6 +409,34 @@ class TestCasterExactness:
             assert_casts_equal(scn, view, u, v)
             assert_window_cast_equal(scn, view, Box2(100.3, 50.0, 420.0, 310.8))
 
+    def test_coincident_copy_never_owns_a_pixel(self):
+        # the copy ties the original on every ray it hits: the first object keeps it
+        scn = scene_with(self.NEAR, self.NEAR)
+        for view in range(len(scn.views)):
+            owners = assert_casts_equal(scn, view, *full_frame(K))
+            assert (owners == 0).any() and not (owners == 1).any()
+
+    def test_box_resting_on_the_floor(self):
+        # zmin = 4.5 - 0.5 is floor_z exactly.  View 0 looks up (+Z) at the
+        # box's bottom face, which every ray meets at the floor's own depth;
+        # the side view sees the floor meet the box along the contact line.
+        box = OrientedBox3((0.2, 0.1, 4.5), (0.4, 0.3, 0.5), 0.4)
+        views = [Pose.identity(), look_at([3.0, 1.0, 6.0], [0.2, 0.1, 4.0])]
+        scn = Scene(K, views, [ObjectNode(0, "o0", box)], floor_z=4.0)
+        for view in range(len(views)):
+            assert set(np.unique(assert_casts_equal(scn, view, *full_frame(K)))) == {-2, 0}
+        # every ray of view 0 meets the floor at depth 4, so each box pixel is a tie the box won
+        depths, owners = cast_rays(scn, 0, *full_frame(K))
+        assert np.all(depths == 4.0) and (owners == 0).any()
+
+    def test_object_rectangles_straddle_blocks(self, monkeypatch):
+        # blocks of 7 rows: every object's pixel rectangle spans several
+        monkeypatch.setattr(tiger.runtime, "_BLOCK_RAYS", 7 * 640 + 3)
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 1)
+        for view in range(len(scn.views)):
+            assert (assert_casts_equal(scn, view, *full_frame(scn.intrinsics)) >= 0).any()
+            assert_window_cast_equal(scn, view, FRAME)
+
     def test_input_shapes(self):
         scn = scene_with(self.NEAR)
         u, v = full_frame(K)
@@ -507,6 +536,46 @@ class TestWindowCast:
             depths, owners = cast_rays(scn, 0, u, v)
             assert depths.shape == owners.shape == shape
             assert depths.dtype == float and owners.dtype == int
+
+
+class TestPixelBounds:
+    """The per-view corner bounds a Scene keeps cannot be seen from outside it."""
+
+    @staticmethod
+    def cast_every_view(scn):
+        for view in range(len(scn.views)):
+            cast_rays(scn, view, np.arange(640.0)[None, :] + 0.5, np.arange(480.0)[:, None] + 0.5)
+
+    def test_scene_stays_immutable_and_serializes_alike(self):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 2)
+        before = scn.to_json()
+        self.cast_every_view(scn)
+        assert scn.to_json() == before
+        for name in ("views", "objects", "_pixel_bounds"):
+            with pytest.raises(AttributeError):
+                setattr(scn, name, None)
+        with pytest.raises(UnknownView):
+            scn.pixel_bounds(len(scn.views))
+
+    def test_a_scene_that_has_cast_equals_a_fresh_one(self):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 2)
+        self.cast_every_view(scn)
+        k = scn.intrinsics
+        for view in range(len(scn.views)):
+            pose = scn.pose(view)
+            assert scn.pixel_bounds(view) == tuple(corner_pixel_bounds(o.box3, k, pose) for o in scn.objects)
+            fresh = Scene.from_dict(scn.to_dict())
+            boxes = [fresh.project_box(o, view) for o in fresh.objects]
+            assert [scn.project_box(o, view) for o in scn.objects] == boxes
+            for u, v in (
+                ([321.3], [200.7]),
+                (np.linspace(0.5, 639.5, 64)[None, :], np.linspace(0.5, 479.5, 64)[:, None]),
+                (np.arange(640.0)[None, :] + 0.5, np.arange(480.0)[:, None] + 0.5),
+            ):
+                depths, owners = cast_rays(scn, view, u, v)
+                want_depths, want_owners = cast_rays(Scene.from_dict(scn.to_dict()), view, u, v)
+                assert depths.tobytes() == want_depths.tobytes()
+                assert np.array_equal(owners, want_owners)
 
 
 def reference_rle(bits):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -50,3 +51,12 @@ class TestSceneType:
         scene = _scene([ObjectNode(0, "mug", _box((0, 0, 2)))])
         with pytest.raises(UnknownView):
             scene.pose(3)
+
+    @pytest.mark.parametrize("field", ["fx", "fy"])
+    def test_infinite_focal_length(self, field):
+        doc = _scene([ObjectNode(0, "mug", _box((0, 0, 2)))]).to_dict()
+        doc["intrinsics"][field] = math.inf
+        text = json.dumps(doc)  # Python's json writes and reads Infinity
+        assert f'"{field}": Infinity' in text
+        with pytest.raises(SceneError):
+            Scene.from_dict(json.loads(text))
