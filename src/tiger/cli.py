@@ -218,7 +218,9 @@ def cmd_run(args) -> int:
         with open(args.trajectory, "r", encoding="utf-8") as f:
             text = f.read()
         trajectory = parse_trajectory(text)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:  # a trace that is not UTF-8 or does not parse
+        return _fail(f"{args.trajectory}: {exc}")
+    except OSError as exc:
         return _fail(str(exc))
     ctx = ExecutionContext(scene, args.mode)
     try:

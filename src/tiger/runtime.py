@@ -76,10 +76,10 @@ class ExecutionContext:
     read-only views, with no cast; before it exists, each window is cast
     afresh and not kept.  Since cast_rays computes each ray from its own
     pixel alone, a read equals a fresh cast bit for bit.  A buffer costs
-    about 4.9 MB at 640x480 (8 + 8 bytes a pixel) for each view with a
-    full-frame window, for as long as the cache lives.  Hits do not depend
-    on the mode, so contexts of either mode may share a cache, but only
-    contexts over the same scene may.
+    about 3.7 MB at 640x480 (8 + 4 bytes a pixel: float64 depths, int32
+    owners) for each view with a full-frame window, for as long as the
+    cache lives.  Hits do not depend on the mode, so contexts of either
+    mode may share a cache, but only contexts over the same scene may.
     """
 
     scene: Scene
@@ -148,44 +148,53 @@ _EPS = 1e-9
 # rays cast together: a block's temporaries stay small enough for the
 # allocator to reuse, where a frame's would be fresh pages on every cast
 _BLOCK_RAYS = 1 << 15
+# below this bound on |a| + |b| + 1, a direction (a sum of three terms, each
+# at most its factor) and a slab local (a sum of two directions) are finite
+_FINITE_FACTORS = np.finfo(float).max / 4
 
 
-def _ray_box_params(origin, dx, dy, dz, box: OrientedBox3):
+def _ray_box_params(origin, dx, dy, dz, box: OrientedBox3, finite: bool):
     """Slab-method entry parameter for rays against one oriented box.
 
     Rays are origin + t * (dx, dy, dz) with t equal to camera z-depth;
     returns inf where the ray misses.  The box only yaws about +Z, so the
     origin and the directions reach its axes through geometry.yaw_local.
+    finite promises that every direction is finite.  The caller runs
+    it under np.errstate(divide="ignore", invalid="ignore").
     """
     o_locals = yaw_local(*(o - m for o, m in zip(origin, box.center)), box.yaw)
     d_locals = yaw_local(dx, dy, dz, box.yaw)
     low = high = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for o_local, d_local, h in zip(o_locals, d_locals, box.half_extents):
-            inv = 1.0 / d_local
-            t1 = (-h - o_local) * inv
-            t2 = (h - o_local) * inv
-            # 0 * inf produces NaN exactly when the origin sits on a slab
-            # boundary of an axis-parallel ray; treat that as inside the slab.
+    for o_local, d_local, h in zip(o_locals, d_locals, box.half_extents):
+        inv = 1.0 / d_local
+        t1 = (-h - o_local) * inv
+        t2 = (h - o_local) * inv
+        # 0 * inf produces NaN exactly when the origin sits on a slab
+        # boundary of an axis-parallel ray; treat that as inside the slab.
+        # With finite directions only a zero numerator makes one.
+        if -h - o_local == 0 or not finite:
             t1[np.isnan(t1)] = -np.inf
+        if h - o_local == 0 or not finite:
             t2[np.isnan(t2)] = np.inf
-            near = np.minimum(t1, t2)
-            far = np.maximum(t1, t2)
-            low = near if low is None else np.maximum(low, near)
-            high = far if high is None else np.minimum(high, far)
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2)
+        low = near if low is None else np.maximum(low, near)
+        high = far if high is None else np.minimum(high, far)
+    # t > _EPS follows: t is low where low > _EPS, and high otherwise
     t = np.where(low > _EPS, low, high)
-    hit = (high >= low) & (high > _EPS) & (t > _EPS)
-    return np.where(hit, t, np.inf)
+    return np.where((high >= low) & (high > _EPS), t, np.inf)
 
 
+# one error state per cast: a zero direction divides by zero, and 0 * inf is NaN
+@np.errstate(divide="ignore", invalid="ignore")
 def cast_rays(scene: Scene, view: int, u, v):
     """Cast pixel rays; returns (depths, owners) arrays of u and v's broadcast shape.
 
     u and v broadcast against each other, so a pixel window can be given as
     a (1, W) row of column centres and an (H, 1) column of row centres; a
     scalar pair gives shape (1,).  depths hold camera z-depth of the nearest
-    hit (inf where nothing is hit); owners hold the object index into
-    scene.objects, -2 for the floor, and -1 for no hit.
+    hit (inf where nothing is hit); owners, an np.int32 array, hold the
+    object index into scene.objects, -2 for the floor, and -1 for no hit.
 
     Every number a ray's result is computed from is one of geometry's
     fixed-order elementwise sums, with no BLAS product: the direction
@@ -197,18 +206,33 @@ def cast_rays(scene: Scene, view: int, u, v):
     first axis, which keeps every temporary small.
 
     Each block first gets the floor's depth and owner, from dz = R^T[2]·(a,
-    b, 1) alone.  Then each object is tested only inside a rectangle of the
-    block: along each axis, the index range of the u and v factors within
-    1 px of its corners' pixel bounds (geometry.corner_pixel_bounds).  An
-    object projects inside the hull of its projected corners, and 1 px is
-    far above rounding error.  Its rays' directions come from the sliced
-    factors, and its results land in basic-slice views, with no gather or
-    scatter.  An object with a corner not in front of the camera is tested
-    against the whole block.  Either way the result is that of testing every
-    ray against every object and then the floor: a ray keeps the first
-    object with the least depth, and an object wins a tie with the floor, so
-    an object takes a ray where its depth is less than the best, or equal
-    to it while the floor owns the ray.
+    b, 1) alone, computed on the factors it depends on and broadcast into
+    the block: a term whose coefficient is exactly 0 is ±0 for a finite
+    factor, so dropping it can change only the sign of a zero dz, which is
+    no floor hit.  A generated view (R^T[2][0] == 0: its camera x axis is
+    horizontal) thus computes its floor once per row, and view 0 once per
+    block; a rolled camera computes it over the whole block.
+
+    Then each object is tested only inside a rectangle of the block: along
+    each axis, the index range of the u and v factors within 1 px of its
+    corners' pixel bounds (geometry.corner_pixel_bounds).  An object
+    projects inside the hull of its projected corners, and 1 px is far above
+    rounding error.  Its rays' directions come from the sliced factors, and
+    its results land in basic-slice views, with no gather or scatter.  An
+    object with a corner not in front of the camera is tested against the
+    whole block.  Either way the result is that of testing every ray
+    against every object and then the floor: a ray keeps the first object
+    with the least depth, and an object wins a tie with the floor, so an
+    object takes a ray where its depth is less than the best, or equal to
+    it while the floor owns the ray.
+
+    The slab test reads the NaN of 0 * inf as inside the slab.  With finite
+    directions only a numerator ±h - o of exactly 0 makes that NaN, so each
+    fix-up runs only for a zero numerator, unless the factors (checked once
+    per cast) are too large, inf or NaN to promise finite directions; such
+    factors turn off the floor's shortcut too.  So for any finite u and v,
+    depths and owners equal those of the plain tests over every ray, bit
+    for bit.
 
     The corner bounds are constants of the immutable scene, so the Scene
     keeps them per view (Scene.pixel_bounds), not the context cache: then
@@ -238,19 +262,22 @@ def cast_rays(scene: Scene, view: int, u, v):
                     elif n > 1:
                         span[:] = max(span[0], int(at.min())), min(span[1], int(at.max()) + 1)
         rects.append(rect if all(lo < hi for lo, hi in rect) else None)
+    # factors this small keep every direction and slab local finite
+    finite = bool(np.abs(a).max() + np.abs(b).max() + 1.0 < _FINITE_FACTORS)
     depths = np.empty(shape)
-    owners = np.empty(shape, dtype=int)
+    owners = np.empty(shape, dtype=np.int32)
     step = max(1, _BLOCK_RAYS // max(1, math.prod(shape[1:])))
     for start in range(0, shape[0], step):
         stop = min(start + step, shape[0])
-        best, owner = depths[start:stop], owners[start:stop]
-        (dz,) = geometry.matvec3(rot_t[2:], *_factors(a, b, (slice(start, stop),)), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(scene.floor_z - origin[2], dz, out=best)
+        # the floor on the factors it depends on (see above)
+        factors = _factors(a, b, (slice(start, stop),))
+        kept = (f if c or not finite else 0.0 for c, f in zip(rot_t[2], factors))
+        (dz,) = geometry.matvec3(rot_t[2:], *kept, 1.0)
+        t = np.divide(scene.floor_z - origin[2], dz)
         # a depth that overflows to inf is no floor hit
-        floor = (best > _EPS) & (best < np.inf) & (np.abs(dz) > _EPS)
-        best[~floor] = np.inf
-        np.subtract(-1, floor, out=owner)  # -2 on the floor, else -1
+        floor = (t > _EPS) & (t < np.inf) & (np.abs(dz) > _EPS)
+        np.copyto(depths[start:stop], np.where(floor, t, np.inf))
+        np.subtract(-1, floor, out=owners[start:stop], dtype=np.int32)  # -2 on the floor, else -1
         for idx, (obj, rect) in enumerate(zip(scene.objects, rects)):
             if rect is None:
                 continue
@@ -259,7 +286,8 @@ def cast_rays(scene: Scene, view: int, u, v):
             if lo >= hi:
                 continue
             window = (slice(lo, hi), *(slice(*span) for span in rest))
-            t = _ray_box_params(origin, *geometry.matvec3(rot_t, *_factors(a, b, window), 1.0), obj.box3)
+            dirs = geometry.matvec3(rot_t, *_factors(a, b, window), 1.0)
+            t = _ray_box_params(origin, *dirs, obj.box3, finite)
             best, owner = depths[window], owners[window]
             closer = (t < best) | ((t == best) & (owner == -2))
             np.copyto(best, t, where=closer)

@@ -889,6 +889,22 @@ class TestRun:
         assert main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)]) == 1
         assert_one_error(capsys, f"{scene_path}: ")
 
+    @pytest.mark.parametrize(
+        "trace, reason",
+        [
+            (b"<think>x</think><tool_call>oops(</tool_call><answer format=scalar>0</answer>", "expected identifier"),
+            (b"<think>\xff</think>", "'utf-8' codec can't decode byte 0xff"),
+        ],
+    )
+    def test_bad_trace_names_its_file(self, tmp_path, dataset, capsys, trace, reason):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(record["scene"]))
+        traj_path = tmp_path / "traj.txt"
+        traj_path.write_bytes(trace)
+        assert main(["run", "--scene", str(scene_path), "--trajectory", str(traj_path)]) == 1
+        assert_one_error(capsys, f"{traj_path}: {reason}")
+
 
 @pytest.fixture(scope="module")
 def fuzz_records(tmp_path_factory):

@@ -304,7 +304,7 @@ def reference_cast_rays(scene, view, u, v):
     dirs = np.stack([a * R[0, j] + b * R[1, j] + R[2, j] for j in range(3)], axis=-1)
     origin = [-(R[0, j] * t[0] + R[1, j] * t[1] + R[2, j] * t[2]) for j in range(3)]
     best = np.full(u.shape, np.inf)
-    owner = np.full(u.shape, -1, dtype=int)
+    owner = np.full(u.shape, -1, dtype=np.int32)
     for idx, obj in enumerate(scene.objects):
         c, s = math.cos(obj.box3.yaw), math.sin(obj.box3.yaw)
         ox, oy, oz = (o - m for o, m in zip(origin, obj.box3.center))
@@ -535,7 +535,61 @@ class TestWindowCast:
         ):
             depths, owners = cast_rays(scn, 0, u, v)
             assert depths.shape == owners.shape == shape
-            assert depths.dtype == float and owners.dtype == int
+            assert depths.dtype == float and owners.dtype == np.int32
+
+
+# the generator's intrinsics: the pixel centres of row 239 lie on cy
+K_GEN = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
+
+
+class TestFloorOnFactors:
+    """Row × column casts whose floor and slab fix-ups take each shortcut, and each it must not take."""
+
+    @staticmethod
+    def assert_frame_and_grid_equal(scn, view):
+        owners = assert_window_cast_equal(scn, view, FRAME)
+        assert_window_cast_equal(scn, view, FRAME, 64)
+        return owners
+
+    def test_rolled_camera(self):
+        # rolled about its optical axis, the camera's x axis leaves the
+        # horizontal: the floor depends on both factors
+        level = look_at([3.0, 1.0, 1.5], [0.0, 0.0, 0.5])
+        c, s = math.cos(0.3), math.sin(0.3)
+        roll = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rolled = Pose(roll @ level.rotation, roll @ level.translation)
+        assert rolled.rotation.T[2][0] != 0.0 and rolled.rotation.T[2][1] != 0.0
+        scn = Scene(K_GEN, [Pose.identity(), rolled], [ObjectNode(0, "o0", TestCasterExactness.NEAR)], floor_z=-0.5)
+        owners = self.assert_frame_and_grid_equal(scn, 1)
+        assert {-2, -1} <= set(np.unique(owners))
+
+    def test_level_camera_grazing_a_top_face(self):
+        # looking along +x from height 1.5: row 239's rays are horizontal
+        # (dz = ±0), and the box's top face is at the eye height, so its z
+        # slab numerator is 0 and its z fix-ups must run
+        level = Pose([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.5, 0.0])
+        assert list(level.rotation.T[2]) == [0.0, -1.0, 0.0] and level.center()[2] == 1.5
+        box = OrientedBox3((3.0, 0.2, 1.0), (0.4, 0.3, 0.5), 0.3)
+        scn = Scene(K_GEN, [Pose.identity(), level], [ObjectNode(0, "o0", box)], floor_z=0.0)
+        owners = self.assert_frame_and_grid_equal(scn, 1)
+        assert (owners[239] == 0).any() and not (owners[240:] == -1).any()
+        # a 64-grid whose rows include row 239
+        grid = assert_window_cast_equal(scn, 1, Box2(0.0, 7.0, 640.0, 480.0), 64)
+        assert (grid[(239 - 7) // 8] == 0).any()
+
+    def test_identity_view_facing_the_floor(self):
+        # R^T[2] = (0, 0, 1): one floor depth, 4, for every ray; the box rests
+        # on the floor, so each of its pixels is a tie the box wins
+        box = OrientedBox3((0.2, 0.1, 4.5), (0.4, 0.3, 0.5), 0.4)
+        scn = Scene(K_GEN, [Pose.identity()], [ObjectNode(0, "o0", box)], floor_z=4.0)
+        assert set(np.unique(self.assert_frame_and_grid_equal(scn, 0))) == {-2, 0}
+
+    @pytest.mark.parametrize("u, v", [(1e300, 240.0), (320.0, -1e300), (1.7e308, 1.7e308), (math.inf, 240.0)])
+    def test_single_ray_far_off_image(self, u, v):
+        scn = generate_scene(SceneParams(object_count=(4, 5)), 7)
+        for view in range(len(scn.views)):
+            with np.errstate(invalid="ignore"):
+                assert_casts_equal(scn, view, [u], [v])
 
 
 class TestPixelBounds:
