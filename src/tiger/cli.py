@@ -36,14 +36,17 @@ def _fail(message: str, code: int = 1) -> int:
 def _read_jsonl(path):
     records = []
     with open(path, "r", encoding="utf-8") as f:
-        for number, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append((number, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
+        try:
+            for number, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append((number, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded a buffer at a time: no line number
+            raise ValueError(f"{path}: {exc}") from exc
     return records
 
 

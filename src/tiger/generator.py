@@ -404,23 +404,26 @@ class _Draws:
         """The first of up to max_attempts attempts clear of `boxes`, or None.
 
         An attempt is clear when obb_distance to every placed box exceeds the
-        margin.  Attempts are decided _BLOCK at a time: those that read all 7
-        doubles go through _pair_verdicts together, a row with a touching
-        pair is skipped, obb_distance runs only on the pairs a row leaves
-        open, and the first row whose pairs are all clear is taken.
+        margin.  Attempts are decided up to _BLOCK at a time, as many as the
+        drawn doubles hold whole ones, so a refill comes only once none is
+        left; the stream does not depend on where blocks start.  Those that
+        read all 7 doubles go through _pair_verdicts together, a row with a
+        touching pair is skipped, obb_distance runs only on the pairs a row
+        leaves open, and the first row whose pairs are all clear is taken.
         """
         margin = self._params.placement_margin
         left = self._params.max_attempts
         while left > 0:
-            n = min(_BLOCK, left)
-            self._ahead(_ATTEMPT * n)
+            self._ahead(_ATTEMPT)  # refill only when no whole attempt is left
             reads = self._reads
             whole = []
             p = self._pos
-            for _ in range(n):
+            n = 0
+            while n < min(_BLOCK, left) and p < len(reads):
                 if reads[p] == _ATTEMPT:
                     whole.append(p)
                 p += reads[p]
+                n += 1
             cx, cy, cz, hx, hy, hz, yaw = self._attempts[:, whole]
             cleared, touching = _pair_verdicts(cx, cy, cz, hx, hy, hz, boxes, margin)
             for i in np.flatnonzero(~touching.any(axis=1)).tolist():
@@ -788,23 +791,38 @@ _LAYOUT_PROGRAM = (
 )
 
 
+def _lateral_pairs(objects, pose: Pose):
+    """The ordered pairs (a, b) of objects where a is left or right of b.
+
+    One table per view: each object's camera-frame center x and half extent
+    along the camera x axis, computed once.  Each pair is then decided by
+    _relation's arithmetic on those values, so it holds exactly when
+    spatial_relation(a, b, pose, "left_of") or "right_of" does.
+    """
+    if not objects:
+        return []
+    axis_world = pose.rotation.T[:, 0]
+    xs = transform(pose, np.array([o.box3.center for o in objects]))[:, 0].tolist()
+    halves = [project_half_extent(o.box3, axis_world) for o in objects]
+    table = list(zip(objects, xs, halves))
+    pairs = []
+    for a, xa, ha in table:
+        for b, xb, hb in table:
+            if a.id == b.id:
+                continue
+            margin = max(ha + hb, _MIN_MARGIN)
+            if (xb - xa) - margin > 0 or (xa - xb) - margin > 0:
+                pairs.append((a, b))
+    return pairs
+
+
 def _build_spatial_layout_mcq(ctx, rng, template):
     scene = ctx.scene
     if len(scene.objects) < 2:
         raise InsufficientScene("need two objects for a layout question")
     for view in _shuffled(rng, range(len(scene.views))):
         pose = scene.views[view]
-        visible = _visible_objects(scene, view)
-        pairs = [
-            (a, b)
-            for a in visible
-            for b in visible
-            if a.id != b.id
-            and (
-                spatial_relation(a.box3, b.box3, pose, "left_of")
-                or spatial_relation(a.box3, b.box3, pose, "right_of")
-            )
-        ]
+        pairs = _lateral_pairs(_visible_objects(scene, view), pose)
         if not pairs:
             continue
         a, b = _pick(rng, pairs)
@@ -1104,13 +1122,24 @@ def instantiate(template: Template, scene: Scene, seed: int, sample_id: int = 0)
         family=family,
         seed=seed,
     )
-    if not self_check(sample):
+    if not self_check(sample, ctx):
         raise GenerationError(f"generated sample failed self-check (seed {seed})")
     return sample
 
 
-def self_check(sample: Sample) -> bool:
-    """Replay-and-consistency audit: format, byte-identical replay, answer match."""
+def self_check(sample: Sample, ctx: ExecutionContext) -> bool:
+    """Replay-and-consistency audit: format, byte-identical replay, answer match.
+
+    The trace is parsed back from its text and replayed with run_trajectory
+    on ctx's tool cache (ctx must be over the sample's scene), binding its
+    own r1..rN.  Given the context the record was built in, a call whose
+    arguments survived the render is a hit on the result its plan computed,
+    one rendered lossily misses and is recomputed from the text, and every
+    code_executor program re-runs against the trace's own bindings; so a
+    lossy argument or a wrong binding changes a result and fails the byte
+    comparison.  That a hit equals a fresh result is a tier-1 property of
+    the tools (tests/test_acceptance.py, TestToolPurity).
+    """
     try:
         trajectory = parse_trajectory(sample.trajectory_text)
     except ValueError:
@@ -1118,9 +1147,9 @@ def self_check(sample: Sample) -> bool:
     if not validate_format(trajectory):
         return False
     try:
-        # a fresh context, so the replay recomputes every tool result rather
-        # than reading the ones generation cached
-        replayed = run_trajectory(ExecutionContext(sample.scene, "oracle"), trajectory)
+        replayed = run_trajectory(
+            ExecutionContext(sample.scene, "oracle", cache=ctx.cache), trajectory
+        )
     except TrajectoryRunError:
         return False
     if render_trajectory(replayed) != sample.trajectory_text:

@@ -82,9 +82,12 @@ class Pose:
             raise GeometryError("rotation must be 3x3")
         if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
             raise GeometryError("pose entries must be finite")
-        if np.max(np.abs(R @ R.T - np.eye(3))) > _ORTHO_TOL:
-            raise GeometryError("rotation is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
+        rows = R.tolist()
+        for i, a in enumerate(rows):
+            for j in range(i, 3):  # R @ R.T is symmetric
+                if abs(_dot3(a, rows[j]) - (i == j)) > _ORTHO_TOL:
+                    raise GeometryError("rotation is not orthonormal")
+        if abs(_dot3(rows[0], cross3(rows[1], rows[2])) - 1.0) > _ORTHO_TOL:
             raise GeometryError("rotation determinant must be +1")
         R.setflags(write=False)
         t.setflags(write=False)
@@ -96,7 +99,7 @@ class Pose:
 
     @classmethod
     def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
+        return _IDENTITY
 
     @classmethod
     def from_matrix4(cls, m) -> "Pose":
@@ -187,6 +190,10 @@ def matmul(a, b) -> np.ndarray:
     return out if b.ndim == 2 else out[:, 0]
 
 
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def cross3(a, b) -> list:
     """np.cross of two 3-vectors: the same rounded products, subtracted alike."""
     (a0, a1, a2), (b0, b1, b2) = a, b
@@ -199,6 +206,9 @@ def inv3(m) -> tuple:
     cofactors = (cross3(r1, r2), cross3(r2, r0), cross3(r0, r1))
     det = sum_of_products(r0, cofactors[0])
     return det, (np.array(cofactors).T / det if det != 0.0 else None)
+
+
+_IDENTITY = Pose(np.eye(3), np.zeros(3))  # Pose is immutable, so one instance serves
 
 
 @dataclass(frozen=True)

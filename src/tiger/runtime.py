@@ -236,8 +236,8 @@ def cast_rays(scene: Scene, view: int, u, v):
 
     The corner bounds are constants of the immutable scene, so the Scene
     keeps them per view (Scene.pixel_bounds), not the context cache: then
-    the generator's replay audit, which runs in a fresh context to recompute
-    every tool result, does not recompute these scene constants too.
+    a fresh context over the scene, which recomputes every tool result,
+    does not recompute these scene constants too.
     """
     pose = scene.pose(view)
     k = scene.intrinsics

@@ -14,6 +14,7 @@ import pytest
 
 from tiger.generator import (
     DEFAULT_MIX,
+    FAMILIES,
     SceneParams,
     generate_dataset,
     regenerate_from_manifest,
@@ -258,6 +259,49 @@ def test_dataset_self_consistency(dataset):
 
         regenerated = regenerate_from_manifest(dataset["manifest"])
         assert regenerated == dataset["path"].read_bytes()
+
+
+class _NoCache(dict):
+    """A tool cache that keeps nothing, so every call is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestToolPurity:
+    """Every tool is a pure function of (scene, mode, call).
+
+    Generation audits each record by replaying it on the cache its plans
+    filled, so a cache that returned a wrong value for an equal key, or
+    mistook one call for another, would pass that audit; it fails here.
+    """
+
+    @staticmethod
+    def _replay(scene, trajectory, mode, cache):
+        ctx = ExecutionContext(scene, mode, cache=cache)
+        return render_trajectory(run_trajectory(ctx, trajectory))
+
+    def test_a_cache_changes_no_byte(self, dataset):
+        with criterion("tool purity: uncached and cached replays alike in both modes"):
+            started = time.monotonic()
+            families = set()
+            for record in dataset["records"]:
+                scene = Scene.from_dict(record["scene"])
+                trajectory = parse_trajectory(record["trajectory"])
+                uncached = {
+                    mode: self._replay(scene, trajectory, mode, _NoCache())
+                    for mode in ("oracle", "fitted")
+                }
+                assert uncached["oracle"] == record["trajectory"]
+                # one cache over both modes: empty for the oracle run, holding
+                # the oracle results for the fitted run, then both modes' results
+                shared = {}
+                for mode in ("oracle", "fitted", "oracle", "fitted"):
+                    assert self._replay(scene, trajectory, mode, shared) == uncached[mode]
+                families.add(record["family"])
+            print(f"  {DATASET_SIZE} records, {len(families)} families, "
+                  f"{time.monotonic() - started:.1f}s")
+            assert families == set(FAMILIES)
 
 
 def test_parser_totality(dataset):

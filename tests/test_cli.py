@@ -340,6 +340,13 @@ class TestScore:
         assert code == 1
         assert f"error: {cands}:2:" in capsys.readouterr().err
 
+    def test_non_utf8_candidates_name_their_file(self, tmp_path, dataset, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_bytes(b"\xff\n")
+        code = main(["score", "--dataset", str(dataset), "--candidates", str(cands)])
+        assert code == 1
+        assert_one_error(capsys, f"{cands}: 'utf-8' codec can't decode byte 0xff")
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -1059,6 +1066,15 @@ class TestEval:
         self._write(refs, [{"id": 0, "value": 1.0}])
         code = main(["eval", "--predictions", str(preds), "--references", str(refs)])
         assert code == 1
+
+    def test_non_utf8_predictions_name_their_file(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        refs = tmp_path / "r.jsonl"
+        preds.write_bytes(b"\xff\n")
+        self._write(refs, [{"id": 0, "value": 1.0}])
+        code = main(["eval", "--predictions", str(preds), "--references", str(refs)])
+        assert code == 1
+        assert_one_error(capsys, f"{preds}: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestDsl:

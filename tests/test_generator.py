@@ -55,6 +55,7 @@ from tiger.trajectory import (
     Scalar,
     Text,
     ToolCall,
+    Trajectory,
     ValueList,
     parse_trajectory,
     render_trajectory,
@@ -418,6 +419,34 @@ class TestSpatialRelations:
                 )
 
 
+def test_lateral_pairs_match_the_relation_predicate():
+    """The per-view table decides each pair as spatial_relation does."""
+    rng = np.random.default_rng(62)
+    cases = [
+        (
+            random_pose(rng),
+            [ObjectNode(i, str(i), random_box(rng, center_span=1.5, max_half=0.3)) for i in range(6)],
+        )
+        for _ in range(20)
+    ]
+    # ties at the margin: neighbours along the camera x axis by exactly the half sum
+    ties = [ObjectNode(i, str(i), _box((0.4 * i, 0.0, 2.0))) for i in range(4)]
+    cases.append((Pose.identity(), ties + [ObjectNode(4, "4", _box((0.41, 0.0, 2.0)))]))
+    for pose, objects in cases:
+        expected = [
+            (a, b)
+            for a in objects
+            for b in objects
+            if a.id != b.id
+            and (
+                spatial_relation(a.box3, b.box3, pose, "left_of")
+                or spatial_relation(a.box3, b.box3, pose, "right_of")
+            )
+        ]
+        assert tiger.generator._lateral_pairs(objects, pose) == expected
+    assert tiger.generator._lateral_pairs([], Pose.identity()) == []
+
+
 class TestRegionContains:
     def test_floor_clearance_and_relation(self):
         anchor = _box((0.0, 0.0, 1.0), half=(0.3, 0.3, 0.2))  # bottom at 0.8
@@ -571,7 +600,8 @@ def test_each_plan_binds_only_its_own_results():
 
 
 def test_instantiate_casts_each_lookup_once(monkeypatch):
-    """The checked lookup and every plan of the retry loop share one cast."""
+    """The checked lookup, every plan of the retry loop and the replay audit
+    share one cast."""
     executed, casts = [], []
     real_execute, real_cast = tiger.runtime.execute_tool, tiger.runtime.cast_rays
 
@@ -585,8 +615,6 @@ def test_instantiate_casts_each_lookup_once(monkeypatch):
 
     monkeypatch.setattr(tiger.runtime, "execute_tool", execute)
     monkeypatch.setattr(tiger.runtime, "cast_rays", cast)
-    # the replay audit runs in a fresh context on purpose; leave it out here
-    monkeypatch.setattr(tiger.generator, "self_check", lambda sample: True)
     produced = 0
     for seed in range(15):
         executed.clear()
@@ -603,13 +631,18 @@ def test_instantiate_casts_each_lookup_once(monkeypatch):
     assert produced >= 10
 
 
+def _audit(sample):
+    """self_check in a fresh context, which recomputes every result."""
+    return self_check(sample, ExecutionContext(sample.scene, "oracle"))
+
+
 class TestSelfCheck:
     def _sample(self, seed=3):
         scene = generate_scene(PARAMS, seed)
         return instantiate(Template("object_size"), scene, seed)
 
     def test_fresh_sample_passes(self):
-        assert self_check(self._sample()) is True
+        assert _audit(self._sample()) is True
 
     def test_perturbed_result_fails(self):
         sample = self._sample()
@@ -630,7 +663,7 @@ class TestSelfCheck:
                 steps[i] = ToolResult(ObbValue(bad))
                 break
         sample.trajectory_text = render_trajectory(Trajectory(tuple(steps)))
-        assert self_check(sample) is False
+        assert _audit(sample) is False
 
     def test_flipped_format_tag_fails(self):
         sample = self._sample()
@@ -638,14 +671,35 @@ class TestSelfCheck:
         sample.trajectory_text = sample.trajectory_text.replace(
             "<answer format=scalar>", "<answer format=choice>"
         )
-        assert self_check(sample) is False
+        assert _audit(sample) is False
 
     def test_record_round_trip(self):
         sample = self._sample()
         again = Sample.from_record(json.loads(json.dumps(sample.to_record())))
         assert again.trajectory_text == sample.trajectory_text
         assert again.answer == sample.answer
-        assert self_check(again)
+        assert _audit(again)
+
+    @pytest.mark.parametrize("edit", ["argument", "binding"])
+    def test_warm_cache_still_catches_an_edited_call(self, edit):
+        """On a cache holding every result of the trace, an edited call
+        argument or program binding still changes a result and fails."""
+        seed = 1
+        scene = generate_scene(PARAMS, seed)
+        sample = instantiate(Template("inter_object_distance"), scene, seed)
+        ctx = ExecutionContext(scene, "oracle")
+        assert self_check(sample, ctx)  # fills ctx's cache
+        calls = parse_trajectory(sample.trajectory_text).calls
+        if edit == "argument":  # the first lookup names the second object
+            first, second = (render_trajectory(Trajectory((c,))) for c in calls[:2])
+            assert first != second
+            sample.trajectory_text = sample.trajectory_text.replace(first, second, 1)
+        else:
+            assert "obb_dist(r1, r2)" in sample.trajectory_text
+            sample.trajectory_text = sample.trajectory_text.replace(
+                "obb_dist(r1, r2)", "obb_dist(r1, r1)"
+            )
+        assert self_check(sample, ctx) is False
 
 
 class TestAllocation:

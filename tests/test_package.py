@@ -22,8 +22,6 @@ def test_every_exported_name_resolves():
 SRC = os.path.dirname(os.path.abspath(tiger.__file__))
 _NUMPY = {"np", "numpy"}
 _BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg"}
-# tolerance tests, not bytes: Pose's orthonormality and determinant checks
-ALLOWED = {("geometry.py", "Pose.__init__"): ["@", "np.linalg"]}
 
 
 def blas_sites(source: str):
@@ -58,19 +56,15 @@ def blas_sites(source: str):
     return sites
 
 
-def test_no_blas_call_outside_the_allow_list():
-    found, allowed = [], {}
+def test_no_blas_call():
+    found = []
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(SRC, name), encoding="utf-8") as f:
             for scope, line, what in blas_sites(f.read()):
-                if (name, scope) in ALLOWED:
-                    allowed.setdefault((name, scope), []).append(what)
-                else:
-                    found.append(f"{name}:{line} {scope or '<module>'}: {what}")
+                found.append(f"{name}:{line} {scope or '<module>'}: {what}")
     assert found == []
-    assert allowed == ALLOWED
 
 
 @pytest.mark.parametrize(
