@@ -57,23 +57,32 @@ def _field(record: dict, name: str):
     return record[name]
 
 
+def _id_key(sample_id):
+    """The key under which an id matches a record; None for an unhashable id.
+
+    Python has True == 1 with equal hashes, so a bare id would match JSON
+    `true` to record 1. A bool matches only a bool; numbers still match by
+    value, so 1.0 matches 1.
+    """
+    if not isinstance(sample_id, Hashable):
+        return None
+    return (isinstance(sample_id, bool), sample_id)
+
+
 def _index_by_id(path, records) -> dict:
-    """Map each record's "id" to (line number, record).
+    """Map each record's id key (see _id_key) to (line number, record).
 
     Raises ValueError naming the line of a record that is not an object with
     a hashable "id", or whose id repeats an earlier one.
     """
     by_id = {}
     for number, record in records:
-        if not (
-            isinstance(record, dict)
-            and "id" in record
-            and isinstance(record["id"], Hashable)
-        ):
+        key = _id_key(record["id"]) if isinstance(record, dict) and "id" in record else None
+        if key is None:
             raise ValueError(f'{path}:{number}: expected an object with an "id"')
-        if record["id"] in by_id:
+        if key in by_id:
             raise ValueError(f"{path}:{number}: duplicate id {record['id']!r}")
-        by_id[record["id"]] = (number, record)
+        by_id[key] = (number, record)
     return by_id
 
 
@@ -152,7 +161,8 @@ def cmd_score(args) -> int:
         if not isinstance(cand, dict):
             return _fail(f"{args.candidates}:{number}: expected a JSON object")
         sample_id = cand.get("id")
-        entry = by_id.get(sample_id) if isinstance(sample_id, Hashable) else None
+        key = _id_key(sample_id)
+        entry = by_id.get(key)
         if entry is None:
             unmatched.append(sample_id)
             continue
@@ -160,18 +170,18 @@ def cmd_score(args) -> int:
             pred = parse_trajectory(_field(cand, "trajectory"))
         except (ValueError, TypeError) as exc:
             return _fail(f"{args.candidates}:{number}: {exc}")
-        if sample_id not in parsed:
+        if key not in parsed:
             line, record = entry
             try:
-                parsed[sample_id] = (
+                parsed[key] = (
                     parse_trajectory(_field(record, "trajectory")),
                     Scene.from_dict(_field(record, "scene")),
                 )
             except (ValueError, TypeError) as exc:
                 return _fail(f"{args.dataset}:{line}: {exc}")
-        gt, scene = parsed[sample_id]
-        if sample_id != cache_id:
-            cache, cache_id = {}, sample_id
+        gt, scene = parsed[key]
+        if key != cache_id:
+            cache, cache_id = {}, key
         breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg, cache=cache)
         rows.append({"id": sample_id, **breakdown.to_dict()})
     seconds = time.monotonic() - started
@@ -272,7 +282,7 @@ def cmd_eval(args) -> int:
         if not isinstance(pred, dict):
             return _fail(f"{args.predictions}:{number}: expected a JSON object")
         pred_id = pred.get("id")
-        entry = refs.get(pred_id) if isinstance(pred_id, Hashable) else None
+        entry = refs.get(_id_key(pred_id))
         if entry is None:
             return _fail(f"{args.predictions}:{number}: no reference with id {pred_id!r}")
         _, ref = entry

@@ -417,14 +417,6 @@ def grpo_objective(batch: GrpoBatch, advantages) -> float:
     return float(-surrogate.mean() + batch.kl_coef * np.mean(batch.kls))
 
 
-def sft_loss(token_logprobs) -> float:
-    """Negative sum of next-token log probabilities."""
-    logs = [float(x) for x in token_logprobs]
-    if any(x > 0 for x in logs):
-        raise ValueError("log probabilities cannot be positive")
-    return -math.fsum(logs)
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

@@ -268,6 +268,7 @@ class _NoCache(dict):
         pass
 
 
+@pytest.mark.byte_pin
 class TestToolPurity:
     """Every tool is a pure function of (scene, mode, call).
 

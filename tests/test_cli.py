@@ -170,6 +170,17 @@ class TestGenerate:
             capsys, f"bad config: mix ratio of {family} must be a non-negative number, not nan"
         )
         assert not out.exists()
+
+    def test_jobs_do_not_change_the_bytes(self, tmp_path):
+        # 16 samples fill two of the pool's chunks of 8, so both workers build records
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"count": 16, "seed": 5, "scene": {"object_count": [2, 4]}}))
+        outs = {jobs: tmp_path / f"jobs{jobs}.jsonl" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            args = ["--config", str(config), "--out", str(out), "--jobs", str(jobs)]
+            assert main(["generate", *args]) == 0
+        assert outs[2].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("count", [0, -1, 2.7])
     def test_count_not_a_positive_integer_exits_one(self, tmp_path, capsys, count):
         path = tmp_path / "bad.json"
@@ -256,7 +267,7 @@ class TestGenerate:
 
 
 class TestScore:
-    def test_self_scoring_is_perfect(self, tmp_path, dataset):
+    def test_self_scoring_is_perfect(self, tmp_path, dataset, capsys):
         candidates = tmp_path / "cands.jsonl"
         with open(candidates, "w") as f:
             for line in dataset.read_text().splitlines():
@@ -280,6 +291,23 @@ class TestScore:
         rows = [json.loads(line) for line in report.read_text().splitlines()]
         assert len(rows) == 6
         assert all(row["composite"] == 1.0 for row in rows)
+        assert "  mean composite: 1.000000" in capsys.readouterr().err.splitlines()
+
+    def test_bool_id_matches_only_a_bool(self, tmp_path, dataset, capsys):
+        # Python has True == 1, so a bare id would match JSON true to record 1
+        records = [json.loads(line) for line in dataset.read_text().splitlines()[:2]]
+        assert [r["id"] for r in records] == [0, 1]
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("".join(
+            json.dumps({"id": i, "trajectory": records[int(i)]["trajectory"]}) + "\n"
+            for i in (True, 1.0, 0.0, False)
+        ))
+        report = tmp_path / "report.jsonl"
+        args = ["--dataset", str(dataset), "--candidates", str(cands), "--out", str(report)]
+        assert main(["score", *args]) == 0
+        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [(row["id"], row["composite"]) for row in rows] == [(1.0, 1.0), (0.0, 1.0)]
+        assert "  unmatched candidate ids: [True, False]" in capsys.readouterr().err.splitlines()
 
     def test_empty_candidates(self, tmp_path, dataset):
         empty = tmp_path / "empty.jsonl"
@@ -733,6 +761,7 @@ def _mutated(kind: str, trajectory: str, scene: dict) -> str:
     return text
 
 
+@pytest.mark.byte_pin
 class TestScoreReportPin:
     """The reward contract: a `tiger score` report over fixed candidates, byte for byte.
 
@@ -834,6 +863,24 @@ class TestRun:
         assert code == 3
         assert "step 1" in capsys.readouterr().err
 
+    def test_fitted_full_frame_segmentation_covers_the_frame(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(record["scene"]))
+        traj_path = tmp_path / "traj.txt"
+        traj_path.write_text(
+            "<think>x</think>"
+            "<tool_call>depth_sensor(view=0, box=box(0, 0, 640, 480))</tool_call>"
+            "<tool_call>object_segmentation(view=0, box=box(0, 0, 640, 480))</tool_call>"
+            "<answer format=scalar>0</answer>"
+        )
+        args = ["--scene", str(scene_path), "--trajectory", str(traj_path), "--mode", "fitted"]
+        assert main(["run", *args]) == 0
+        _depth, mask = re.findall(r"<tool_response>\[(.*?)\]</tool_response>", capsys.readouterr().out)
+        box_and_runs = [float(x) for x in mask.split(",")]
+        assert box_and_runs[:4] == [0, 0, 640, 480]
+        assert sum(box_and_runs[4:]) == 640 * 480
+
     # sha256 of the stdout of `tiger run` over a full-frame depth, a full-frame
     # segmentation and a label lookup in view 1 of one fixed scene; a change
     # to any cast, mask, RLE or fitted box moves one of them
@@ -857,6 +904,7 @@ class TestRun:
         assert main(["run", *args]) == 0
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("mode", sorted(FULL_FRAME_DIGESTS))
     def test_full_frame_outputs_are_pinned(self, tmp_path, capsys, mode):
         scene = generate_scene(SceneParams(object_count=(4, 4)), 3)
@@ -865,6 +913,7 @@ class TestRun:
         digest = self.full_frame_digest(tmp_path, capsys, scene_path, mode)
         assert digest == self.FULL_FRAME_DIGESTS[mode]
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("mode", sorted(FULL_FRAME_DIGESTS))
     def test_stored_scene_full_frame_outputs_are_pinned(self, tmp_path, capsys, mode):
         # A stored scene leaves only the casts, masks and fits, so a change
@@ -1066,6 +1115,17 @@ class TestEval:
         self._write(refs, [{"id": 0, "value": 1.0}])
         code = main(["eval", "--predictions", str(preds), "--references", str(refs)])
         assert code == 1
+
+    def test_bool_id_matches_only_a_bool(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        refs = tmp_path / "r.jsonl"
+        self._write(refs, [{"id": 0, "value": 1.0}, {"id": 1, "value": 2.0}, {"id": False, "value": 3.0}])
+        self._write(preds, [{"id": 1.0, "value": 2.0}, {"id": False, "value": 3.0}])
+        assert main(["eval", "--predictions", str(preds), "--references", str(refs)]) == 0
+        assert "accuracy: 2/2" in capsys.readouterr().err
+        self._write(preds, [{"id": 1.0, "value": 2.0}, {"id": True, "value": 2.0}])
+        assert main(["eval", "--predictions", str(preds), "--references", str(refs)]) == 1
+        assert_one_error(capsys, f"{preds}:2: no reference with id True")
 
     def test_non_utf8_predictions_name_their_file(self, tmp_path, capsys):
         preds = tmp_path / "p.jsonl"

@@ -753,6 +753,7 @@ class TestDataset:
 
         assert regenerate_from_manifest(manifest) == content
 
+    @pytest.mark.byte_pin
     def test_golden_digest(self, tmp_path):
         # Pins the bytes across versions, not just run against run.  A
         # deliberate numeric change updates this value and says why in

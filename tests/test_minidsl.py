@@ -1,9 +1,9 @@
 import math
-import time
 
 import numpy as np
 import pytest
 
+import tiger.minidsl
 from tiger.geometry import OrientedBox3, Pose, obb_distance, project
 from tiger.geometry import CameraIntrinsics
 from tiger.minidsl import (
@@ -239,6 +239,17 @@ class TestSandbox:
             assert run(source, {"a": box}) == first
 
 
+class _CountingPattern:
+    """A compiled pattern that counts its match calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, 0
+
+    def match(self, *args):
+        self.matches += 1
+        return self.pattern.match(*args)
+
+
 class TestLimits:
     def test_halts_within_node_count(self):
         sources = [
@@ -268,15 +279,18 @@ class TestLimits:
         with pytest.raises(LimitExceeded, match="^step limit exceeded$"):
             run("1" + " + 1" * 6000)
 
-    def test_long_source_is_refused_before_it_is_parsed(self):
+    def test_long_source_is_refused_before_it_is_parsed(self, monkeypatch):
         # an 800 KB chain would tokenize and parse for over a second before
-        # the step budget stopped it
+        # the step budget stopped it; counting the lexer's matches, not the
+        # clock, shows it stops reading at the cap
         source = "1" + " + 1" * 200_000
         assert len(source) > 800_000
-        start = time.perf_counter()
+        counting = _CountingPattern(tiger.minidsl._TOKEN_RE)
+        monkeypatch.setattr(tiger.minidsl, "_TOKEN_RE", counting)
         with pytest.raises(LimitExceeded, match="^program has more than 20000 tokens$"):
             parse_program(source)
-        assert time.perf_counter() - start < 0.1
+        # a token and the whitespace before it per step; a full read makes 800,001
+        assert counting.matches <= 2 * tiger.minidsl._MAX_TOKENS + 2
         # the same bound refuses tokens in a branch that would not run
         with pytest.raises(LimitExceeded):
             run("if 1 < 2 then 1 else 1" + " + 1" * 10_000)

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -108,3 +109,21 @@ def test_benchmark_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in patched)
+
+
+def test_workflow_names_no_test_id():
+    """CI selects the byte pins by their marker, so a pin is listed only on itself.
+
+    A test id in the workflow is a second list that a new pin must join by hand.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".github", "workflows", "tests.yml"), encoding="utf-8") as f:
+        workflow = f.read()
+    assert re.findall(r"tests/\S*::\S*", workflow) == []
+    assert "-m byte_pin" in workflow
+
+
+def test_misspelt_marker_is_an_error():
+    # else a pin whose marker is misspelt silently leaves the per-kernel CI loop
+    with pytest.raises(pytest.fail.Exception, match="'byte_pn' not found in `markers`"):
+        pytest.mark.byte_pn

@@ -19,7 +19,6 @@ from tiger.rewards import (
     score_param,
     score_tool,
     score_trajectory,
-    sft_loss,
 )
 from tiger.scene import ObjectNode, Scene
 from tiger.trajectory import parse_trajectory
@@ -437,27 +436,6 @@ class TestGrpo:
             GrpoBatch(rewards=(1.0,), ratios=(0.0,), kls=(0.0,))
         with pytest.raises(ValueError):
             GrpoBatch(rewards=(1.0,), ratios=(1.0,), kls=(0.0,), clip_eps=1.5)
-
-
-class TestSftLoss:
-    def test_zeros(self):
-        assert sft_loss([0.0, 0.0]) == 0.0
-
-    def test_uniform_half(self):
-        t = 17
-        assert sft_loss([math.log(0.5)] * t) == pytest.approx(t * math.log(2.0), abs=1e-12)
-
-    def test_matches_reordered_sum(self):
-        rng = np.random.default_rng(94)
-        logs = list(-rng.exponential(size=200))
-        forward = sft_loss(logs)
-        backward = sft_loss(list(reversed(logs)))
-        assert abs(forward - backward) < 1e-12
-        assert abs(forward - (-np.sum(logs))) < 1e-9
-
-    def test_rejects_positive(self):
-        with pytest.raises(ValueError):
-            sft_loss([0.1])
 
 
 class TestMetrics:

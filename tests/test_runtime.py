@@ -352,6 +352,7 @@ def scene_with(*boxes):
     return Scene(K, views, objects, floor_z=-5.0)
 
 
+@pytest.mark.byte_pin
 class TestCasterExactness:
     """The culled caster returns exactly what testing every ray returns."""
 
@@ -465,6 +466,7 @@ def assert_window_cast_equal(scene, view, box2, max_per_axis=None):
 FRAME = Box2(0.0, 0.0, 640.0, 480.0)
 
 
+@pytest.mark.byte_pin
 class TestWindowCast:
     """cast_rays broadcasts a (1, W) row of columns against an (H, 1) column of rows."""
 
@@ -542,6 +544,7 @@ class TestWindowCast:
 K_GEN = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 
 
+@pytest.mark.byte_pin
 class TestFloorOnFactors:
     """Row × column casts whose floor and slab fix-ups take each shortcut, and each it must not take."""
 
@@ -1028,6 +1031,7 @@ def pool_scene(seed):
     return generate_scene(SceneParams(object_count=(2, 5)), seed)
 
 
+@pytest.mark.byte_pin
 class TestHitBuffer:
     """A view's dense windows are cast once per cache and read from its buffer."""
 
