@@ -17,7 +17,14 @@ from collections.abc import Hashable
 
 from . import generator, minidsl
 from .generator import GenerationError, PlacementFailure, SceneParams, generate_dataset
-from .rewards import RewardConfig, evaluate_delta2, check_interval, score_trajectory
+from .rewards import (
+    REWARD_KEYS,
+    RewardConfig,
+    check_interval,
+    evaluate_delta2,
+    grpo_advantages,
+    score_trajectory,
+)
 from .runtime import ExecutionContext, ToolError, TrajectoryRunError, run_trajectory
 from .scene import Scene
 from .trajectory import (
@@ -156,6 +163,7 @@ def cmd_score(args) -> int:
     # the tool cache of the current run of consecutive candidates for one id
     cache, cache_id = {}, None
     rows = []
+    groups = []  # the rows of each such run: a GRPO group
     unmatched = []
     for number, cand in candidates:
         if not isinstance(cand, dict):
@@ -182,8 +190,10 @@ def cmd_score(args) -> int:
         gt, scene = parsed[key]
         if key != cache_id:
             cache, cache_id = {}, key
+            groups.append([])
         breakdown = score_trajectory(pred, gt, scene, mode=args.mode, cfg=cfg, cache=cache)
         rows.append({"id": sample_id, **breakdown.to_dict()})
+        groups[-1].append(rows[-1])
     seconds = time.monotonic() - started
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else None
@@ -203,6 +213,7 @@ def cmd_score(args) -> int:
     for key in ("r_format", "r_tool", "r_param", "r_code", "r_answer", "composite"):
         mean = math.fsum(row[key] for row in rows) / len(rows) if rows else 0.0
         print(f"  mean {key}: {mean:.6f}", file=sys.stderr)
+    _print_group_summary(groups)
     for row in rows:
         for diag in row["diagnostics"]:
             if diag["error"] is not None:
@@ -213,6 +224,29 @@ def cmd_score(args) -> int:
     if unmatched:
         print(f"  unmatched candidate ids: {unmatched}", file=sys.stderr)
     return 0
+
+
+def _population_std(values) -> float:
+    mean = math.fsum(values) / len(values)
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+
+
+def _print_group_summary(groups) -> None:
+    """What GRPO sees of the scored groups, as stderr lines.
+
+    A group is flat when grpo_advantages maps its composites to all zeros,
+    so it gives no gradient.  Each sub-reward's spread is its population
+    std within a group, averaged over the groups.
+    """
+    sizes = [len(group) for group in groups] or [0]
+    flat = sum(not grpo_advantages([row["composite"] for row in group]).any() for group in groups)
+    fraction = flat / len(groups) if groups else 0.0
+    print(f"  groups: {len(groups)}, sizes {min(sizes)} to {max(sizes)}", file=sys.stderr)
+    print(f"  zero-variance group fraction: {fraction:.6f}", file=sys.stderr)
+    for key in REWARD_KEYS:
+        stds = [_population_std([row[f"r_{key}"] for row in group]) for group in groups]
+        mean = math.fsum(stds) / len(stds) if stds else 0.0
+        print(f"  mean group std r_{key}: {mean:.6f}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .geometry import (
     point_obb_distance,
     project,
     project_half_extent,
-    transform,
 )
 from .runtime import ExecutionContext, TrajectoryRunError, execute_calls, run_trajectory
 from .runtime import execute_tool  # noqa: F401  patched by name in tigerbench/tracing.py
@@ -54,7 +53,6 @@ from .trajectory import (
     ValueList,
     format_number,
     parse_trajectory,
-    parse_value,
     render_trajectory,
     render_value,
     validate_format,
@@ -258,20 +256,6 @@ class Sample:
             "family": self.family,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Sample":
-        return cls(
-            id=int(record["id"]),
-            scene=Scene.from_dict(record["scene"]),
-            views=tuple(record["views"]),
-            question=record["question"],
-            trajectory_text=record["trajectory"],
-            answer=parse_value(record["answer"]),
-            format=record["format"],
-            family=record["family"],
-            seed=int(record["seed"]),
-        )
 
 
 def derive_seed(master_seed: int, *path) -> int:
@@ -617,14 +601,29 @@ _MIN_MARGIN = 0.02  # meters of hysteresis for camera-centric ties
 _POINT_HALF = 1e-6  # point-sized box used to re-verify region predicates
 
 
+def _lateral(box: OrientedBox3, pose: Pose) -> tuple:
+    """A box's camera-frame center x, and its half extent along the camera x axis."""
+    axis = pose.rotation[0].tolist()  # the camera x axis in world coordinates
+    x = geometry.matvec3([axis], *box.center)[0] + float(pose.translation[0])
+    return x, project_half_extent(box, axis)
+
+
+def _left_of(a: tuple, b: tuple) -> bool:
+    """Whether the box of _lateral values a lies left of the box of b.
+
+    b's center lies beyond a's by more than the two half extents, and by at
+    least _MIN_MARGIN, so near-ties hold neither way.
+    """
+    (xa, ha), (xb, hb) = a, b
+    return (xb - xa) - max(ha + hb, _MIN_MARGIN) > 0
+
+
 def _relation(a: OrientedBox3, b: OrientedBox3, pose: Pose, relation: str) -> bool:
     """Whether box a is "left_of", "right_of", "above" or "below" box b.
 
-    Left and right compare camera-frame x of the centers: a is left of b when
-    b's lies beyond a's by more than the two boxes' half extents along the
-    camera x axis, and by at least _MIN_MARGIN, so near-ties hold neither way.
-    Above and below compare world-frame vertical intervals.  Each relation
-    is its dual with the boxes swapped, so duality holds exactly.
+    Left and right compare the boxes' _lateral values by _left_of.  Above
+    and below compare world-frame vertical intervals.  Each relation is its
+    dual with the boxes swapped, so duality holds exactly.
     """
     if relation == "right_of":
         return _relation(b, a, pose, "left_of")
@@ -634,14 +633,7 @@ def _relation(a: OrientedBox3, b: OrientedBox3, pose: Pose, relation: str) -> bo
         return a.zmin >= b.zmax
     if relation != "left_of":
         raise ValueError(f"unknown relation {relation!r}")
-    axis_world = pose.rotation.T[:, 0]
-    ca = transform(pose, np.asarray(a.center))[0]
-    cb = transform(pose, np.asarray(b.center))[0]
-    margin = max(
-        project_half_extent(a, axis_world) + project_half_extent(b, axis_world),
-        _MIN_MARGIN,
-    )
-    return (cb - ca) - margin > 0
+    return _left_of(_lateral(a, pose), _lateral(b, pose))
 
 
 # The builders call spatial_relation and region_contains by these names, where
@@ -794,26 +786,17 @@ _LAYOUT_PROGRAM = (
 def _lateral_pairs(objects, pose: Pose):
     """The ordered pairs (a, b) of objects where a is left or right of b.
 
-    One table per view: each object's camera-frame center x and half extent
-    along the camera x axis, computed once.  Each pair is then decided by
-    _relation's arithmetic on those values, so it holds exactly when
+    Each object's _lateral values are computed once per view, and each pair
+    is decided by _left_of, so it holds exactly when
     spatial_relation(a, b, pose, "left_of") or "right_of" does.
     """
-    if not objects:
-        return []
-    axis_world = pose.rotation.T[:, 0]
-    xs = transform(pose, np.array([o.box3.center for o in objects]))[:, 0].tolist()
-    halves = [project_half_extent(o.box3, axis_world) for o in objects]
-    table = list(zip(objects, xs, halves))
-    pairs = []
-    for a, xa, ha in table:
-        for b, xb, hb in table:
-            if a.id == b.id:
-                continue
-            margin = max(ha + hb, _MIN_MARGIN)
-            if (xb - xa) - margin > 0 or (xa - xb) - margin > 0:
-                pairs.append((a, b))
-    return pairs
+    table = [(o, _lateral(o.box3, pose)) for o in objects]
+    return [
+        (a, b)
+        for a, la in table
+        for b, lb in table
+        if a.id != b.id and (_left_of(la, lb) or _left_of(lb, la))
+    ]
 
 
 def _build_spatial_layout_mcq(ctx, rng, template):

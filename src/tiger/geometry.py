@@ -282,9 +282,6 @@ class OrientedBox3:
         object.__setattr__(self, "half_extents", h)
         object.__setattr__(self, "yaw", yaw)
 
-    def corners(self) -> np.ndarray:
-        return np.array(_corner_map(self, np.eye(3).tolist(), (0.0, 0.0, 0.0))).T
-
     @property
     def zmin(self) -> float:
         return self.center[2] - self.half_extents[2]
@@ -292,24 +289,6 @@ class OrientedBox3:
     @property
     def zmax(self) -> float:
         return self.center[2] + self.half_extents[2]
-
-    def contains(self, points, tol: float = 1e-9) -> bool:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        local = yaw_local(*(pts[:, i] - self.center[i] for i in range(3)), self.yaw)
-        return all(bool(np.all(np.abs(x) <= h + tol)) for x, h in zip(local, self.half_extents))
-
-    def canonical(self) -> "OrientedBox3":
-        """Equivalent box with yaw folded into [-pi/4, pi/4).
-
-        A gravity-aligned box is invariant under a 90 degree yaw plus a swap
-        of the horizontal extents; this picks the unique representative.
-        """
-        k = math.floor((self.yaw + math.pi / 4) / (math.pi / 2))
-        yaw = self.yaw - k * (math.pi / 2)
-        hx, hy, hz = self.half_extents
-        if k % 2 != 0:
-            hx, hy = hy, hx
-        return OrientedBox3(self.center, (hx, hy, hz), yaw)
 
 
 # ---------------------------------------------------------------------------

@@ -271,26 +271,6 @@ class Program:
     lets: tuple
     result: tuple
 
-    def node_count(self) -> int:
-        # an explicit stack, so a long operator chain costs no Python stack
-        stack = [expr for _, expr in self.lets] + [self.result]
-        count = 0
-        while stack:
-            node = stack.pop()
-            count += 1
-            kind = node[0]
-            if kind == "neg":
-                stack.append(node[1])
-            elif kind == "bin" or kind == "cmp":
-                stack.extend(node[2:])
-            elif kind == "if":
-                stack.extend(node[1:])
-            elif kind in ("call", "list"):
-                stack.extend(node[-1])
-            elif kind not in ("num", "var"):
-                raise AssertionError(kind)
-        return count
-
 
 def parse_program(source: str, known=()) -> Program:
     """Parse a program; `known` lists externally bound identifiers."""

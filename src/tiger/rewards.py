@@ -171,23 +171,18 @@ def score_format(t: Trajectory) -> float:
 
 
 def _tool_score(schema_ok: list, gt_has_calls: bool, cfg: RewardConfig) -> float:
+    """The tool reward from each call's name-registered-and-schema-valid indicator.
+
+    Averaged over calls by default; 'product' mode zeroes the reward on any
+    bad call.  A call-free trajectory scores 1 only when the ground truth is
+    also call-free.
+    """
     if not schema_ok:
         return 0.0 if gt_has_calls else 1.0
     per_call = [1.0 if ok else 0.0 for ok in schema_ok]
     if cfg.tool_mode == "product":
         return math.prod(per_call)
     return math.fsum(per_call) / len(per_call)
-
-
-def score_tool(t: Trajectory, gt: Trajectory | None = None, cfg: RewardConfig | None = None) -> float:
-    """Per-call product of name-registered and schema-valid indicators.
-
-    Averaged over calls by default; 'product' mode zeroes the reward on any
-    bad call.  A call-free trajectory scores 1 only when the ground truth is
-    also call-free.
-    """
-    schema_ok = [check_call(c) is None for c in t.calls]
-    return _tool_score(schema_ok, gt is not None and bool(gt.calls), cfg or RewardConfig())
 
 
 def _align(pred_calls, gt_calls) -> list:
@@ -243,13 +238,6 @@ def _param_scores(pred_calls, gt_calls, pairs, alpha: float):
         if deltas:
             distances[p] = math.fsum(deltas)
     return (total / count if count else 1.0), distances
-
-
-def score_param(t: Trajectory, gt: Trajectory, cfg: RewardConfig | None = None) -> float:
-    """Mean per-parameter accuracy against order-aligned ground-truth calls."""
-    cfg = cfg or RewardConfig()
-    pred_calls, gt_calls = t.calls, gt.calls
-    return _param_scores(pred_calls, gt_calls, _align(pred_calls, gt_calls), cfg.alpha)[0]
 
 
 def _call_steps(t: Trajectory) -> list:

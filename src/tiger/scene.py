@@ -144,9 +144,6 @@ class Scene:
             raise SceneError(f"malformed scene document: {exc}") from exc
         return cls(intr, views, objects, floor_z=floor_z)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def load(cls, path) -> "Scene":
         with open(path, "r", encoding="utf-8") as f:

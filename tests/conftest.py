@@ -60,6 +60,61 @@ def box_rotation(box: OrientedBox3) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+# Box oracles.  Each reads a box's yaw through box_rotation's own cos and
+# sin, never through the package's yaw_local, so a fault there cannot cancel
+# out of a test that checks the package against them.
+
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+)
+
+
+def box_corners(box: OrientedBox3) -> np.ndarray:
+    """The box's 8 world-frame corners, (8, 3): x sign slowest, z sign fastest."""
+    return (_CORNER_SIGNS * box.half_extents) @ box_rotation(box).T + np.asarray(box.center)
+
+
+def box_contains(box: OrientedBox3, points, tol: float = 1e-9) -> bool:
+    """Whether every point lies in the solid box, grown by tol on each axis."""
+    local = (np.atleast_2d(np.asarray(points, dtype=float)) - box.center) @ box_rotation(box)
+    return bool(np.all(np.abs(local) <= np.asarray(box.half_extents) + tol))
+
+
+def canonical_box(box: OrientedBox3) -> OrientedBox3:
+    """The same box with its yaw folded into [-pi/4, pi/4).
+
+    A gravity-aligned box is unchanged by a quarter turn of yaw plus a swap
+    of its horizontal extents; this picks the one representative.
+    """
+    k = math.floor((box.yaw + math.pi / 4) / (math.pi / 2))
+    hx, hy, hz = box.half_extents
+    if k % 2 != 0:
+        hx, hy = hy, hx
+    return OrientedBox3(box.center, (hx, hy, hz), box.yaw - k * (math.pi / 2))
+
+
+def node_count(program) -> int:
+    """The number of AST nodes of a parsed minidsl Program: its step bound."""
+    # an explicit stack, so a long operator chain costs no Python stack
+    stack = [expr for _, expr in program.lets] + [program.result]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        kind = node[0]
+        if kind == "neg":
+            stack.append(node[1])
+        elif kind == "bin" or kind == "cmp":
+            stack.extend(node[2:])
+        elif kind == "if":
+            stack.extend(node[1:])
+        elif kind in ("call", "list"):
+            stack.extend(node[-1])
+        elif kind not in ("num", "var"):
+            raise AssertionError(kind)
+    return count
+
+
 def surface_points(box: OrientedBox3, per_axis: int = 16) -> np.ndarray:
     """Grid samples on all six faces of a box, in world coordinates."""
     h = np.asarray(box.half_extents)

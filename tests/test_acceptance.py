@@ -38,7 +38,6 @@ from tiger.rewards import (
     grpo_advantages,
     grpo_objective,
     score_answer,
-    score_param,
     score_trajectory,
 )
 from tiger.runtime import ExecutionContext, execute_tool, run_trajectory
@@ -52,7 +51,14 @@ from tiger.trajectory import (
     render_trajectory,
 )
 
-from conftest import look_at, random_box, sampled_box_distance, sampling_resolution
+from conftest import (
+    canonical_box,
+    look_at,
+    node_count,
+    random_box,
+    sampled_box_distance,
+    sampling_resolution,
+)
 
 DATASET_SIZE = 1000
 
@@ -178,13 +184,15 @@ def test_reward_formula_anchors(dataset):
 
         # r_param: two-parameter call (discrete view + continuous point);
         # zero error -> 1, point off by ln2/alpha -> (1 + 0.5) / 2
+        intr = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+        scene = Scene(intr, [Pose.identity()], [])
         gt = trace("<tool_call>point_3d_to_point_2d(view=0, point=(0, 0, 2))</tool_call>")
-        assert score_param(gt, gt, cfg) == 1.0
+        assert score_trajectory(gt, gt, scene, cfg=cfg).r_param == 1.0
         delta = math.log(2.0) / cfg.alpha
         pred = trace(
             f"<tool_call>point_3d_to_point_2d(view=0, point=({delta!r}, 0, 2))</tool_call>"
         )
-        contribution = 2.0 * score_param(pred, gt, cfg) - 1.0
+        contribution = 2.0 * score_trajectory(pred, gt, scene, cfg=cfg).r_param - 1.0
         assert abs(contribution - 0.5) < 1e-12
 
         # r_answer: scalar off by ln2/gamma -> 0.5; identical -> 1
@@ -369,7 +377,7 @@ def test_minidsl_sandbox(dataset):
         checked = 0
         for source in programs:
             program = parse_program(source, known=("r1", "r2", "r3"))
-            budget = EvalLimits(max_steps=program.node_count())
+            budget = EvalLimits(max_steps=node_count(program))
             try:
                 evaluate(program, bindings, budget)
             except Exception as exc:  # must halt, not hang; value errors are fine
@@ -419,7 +427,7 @@ def test_fitted_box_lifting():
             assert oracle.box == box  # bit-equal ground truth
 
             fitted = execute_tool(ExecutionContext(scene, "fitted"), call).box
-            yaw_err = abs(fitted.canonical().yaw - box.canonical().yaw) % (math.pi / 2)
+            yaw_err = abs(canonical_box(fitted).yaw - canonical_box(box).yaw) % (math.pi / 2)
             yaw_err = min(yaw_err, math.pi / 2 - yaw_err)
             worst_yaw = max(worst_yaw, math.degrees(yaw_err))
             for gt_h, fit_h in zip(

@@ -701,6 +701,98 @@ class TestScoreGroupCache:
         assert interleaved == alone
 
 
+class TestScoreGroupSummary:
+    """The stderr lines that say what GRPO sees of each run of candidates for one id."""
+
+    @staticmethod
+    def summary(tmp_path, dataset, capsys, cands) -> list:
+        """The stderr lines of one `tiger score` call after its timed first line."""
+        capsys.readouterr()
+        rows = _score_lines(tmp_path / "c.jsonl", dataset, cands)
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"scored {len(rows)} candidates in ")
+        return err[1:]
+
+    @staticmethod
+    def group_lines(lines) -> dict:
+        """The summary's group lines, as a map from label to printed value."""
+        labels = ("  groups", "  zero-variance group fraction", "  mean group std ")
+        return dict(line.split(": ", 1) for line in lines if line.startswith(labels))
+
+    @staticmethod
+    def stds(value: str, **others) -> dict:
+        """The std lines when every sub-reward reads value but those named in others."""
+        return {
+            f"  mean group std r_{key}": others.get(key, value)
+            for key in ("format", "tool", "param", "code", "answer")
+        }
+
+    def test_equal_composites_are_one_flat_group(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        lines = self.summary(tmp_path, dataset, capsys, [(record["id"], record["trajectory"])] * 4)
+        assert self.group_lines(lines) == {
+            "  groups": "1, sizes 4 to 4",
+            "  zero-variance group fraction": "1.000000",
+            **self.stds("0.000000"),
+        }
+
+    def test_mixed_group_by_hand(self, tmp_path, dataset, capsys):
+        first, second = (json.loads(line) for line in dataset.read_text().splitlines()[:2])
+        wrong_tag = _mutated("format", first["trajectory"], first["scene"])
+        cands = [
+            (first["id"], first["trajectory"]),
+            (first["id"], first["trajectory"]),
+            (first["id"], wrong_tag),
+            (second["id"], second["trajectory"]),
+        ]
+        lines = self.summary(tmp_path, dataset, capsys, cands)
+        rows = [json.loads(line) for line in (tmp_path / "c.report").read_text().splitlines()]
+        # the answer under another tag fails the format check and the answer match
+        format_and_answer = [(r["r_format"], r["r_answer"]) for r in rows]
+        assert format_and_answer == [(1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
+        assert all(r[k] == 1.0 for r in rows for k in ("r_tool", "r_param", "r_code"))
+        # (1, 1, 0) has mean 2/3 and std sqrt(2)/3; the second group's std is 0
+        spread = f"{(math.sqrt(2.0) / 3.0 + 0.0) / 2.0:.6f}"
+        assert spread == "0.235702"
+        assert self.group_lines(lines) == {
+            "  groups": "2, sizes 1 to 3",
+            "  zero-variance group fraction": "0.500000",
+            **self.stds("0.000000", format=spread, answer=spread),
+        }
+
+    def test_separated_runs_of_one_id_are_two_groups(self, tmp_path, dataset, capsys):
+        first, second = (json.loads(line) for line in dataset.read_text().splitlines()[:2])
+        a, b = (first["id"], first["trajectory"]), (second["id"], second["trajectory"])
+        lines = self.summary(tmp_path, dataset, capsys, [a, a, b, a])
+        assert self.group_lines(lines)["  groups"] == "3, sizes 1 to 2"
+
+    def test_unmatched_ids_are_not_counted(self, tmp_path, dataset, capsys):
+        record = json.loads(dataset.read_text().splitlines()[0])
+        a, stray = (record["id"], record["trajectory"]), (999, record["trajectory"])
+        # a stray id between two candidates of one id does not split their group,
+        # as it does not reset their tool cache
+        lines = self.summary(tmp_path, dataset, capsys, [stray, a, stray, a, stray])
+        assert self.group_lines(lines)["  groups"] == "1, sizes 2 to 2"
+        assert lines[-1] == "  unmatched candidate ids: [999, 999, 999]"
+        lines = self.summary(tmp_path, dataset, capsys, [stray])
+        assert self.group_lines(lines) == {
+            "  groups": "0, sizes 0 to 0",
+            "  zero-variance group fraction": "0.000000",
+            **self.stds("0.000000"),
+        }
+
+    def test_two_runs_print_the_same_bytes(self, tmp_path, dataset, capsys):
+        records = [json.loads(line) for line in dataset.read_text().splitlines()]
+        cands = [
+            (r["id"], _mutated(kind, r["trajectory"], r["scene"]))
+            for r in records
+            for kind in ("exact", "param", "answer", "code", "bad_view")
+        ]
+        once = self.summary(tmp_path, dataset, capsys, cands)
+        assert once == self.summary(tmp_path, dataset, capsys, cands)
+        assert self.group_lines(once)["  groups"] == "6, sizes 5 to 5"
+
+
 def _mutated(kind: str, trajectory: str, scene: dict) -> str:
     """One candidate for a record: its trajectory with one kind of mistake."""
     steps = list(parse_trajectory(trajectory).steps)
@@ -824,7 +916,7 @@ class TestRun:
     def test_identity_extrinsics(self, tmp_path, capsys):
         scene = generate_scene(SceneParams(object_count=(1, 1), view_count=(1, 1)), 3)
         scene_path = tmp_path / "scene.json"
-        scene_path.write_text(scene.to_json())
+        scene_path.write_text(json.dumps(scene.to_dict()))
         traj_path = tmp_path / "traj.txt"
         traj_path.write_text(
             "<think>pose</think>"
@@ -838,7 +930,7 @@ class TestRun:
     def test_thought_holding_a_block_tag_survives(self, tmp_path, capsys):
         scene = generate_scene(SceneParams(object_count=(1, 1), view_count=(1, 1)), 3)
         scene_path = tmp_path / "scene.json"
-        scene_path.write_text(scene.to_json())
+        scene_path.write_text(json.dumps(scene.to_dict()))
         thought = "<think>first <tool_call> then <answer format=x></think>"
         traj_path = tmp_path / "traj.txt"
         traj_path.write_text(
@@ -852,7 +944,7 @@ class TestRun:
     def test_unknown_tool_exits_three(self, tmp_path, capsys):
         scene = generate_scene(SceneParams(object_count=(1, 1), view_count=(1, 1)), 3)
         scene_path = tmp_path / "scene.json"
-        scene_path.write_text(scene.to_json())
+        scene_path.write_text(json.dumps(scene.to_dict()))
         traj_path = tmp_path / "traj.txt"
         traj_path.write_text(
             "<think>x</think>"
@@ -909,7 +1001,7 @@ class TestRun:
     def test_full_frame_outputs_are_pinned(self, tmp_path, capsys, mode):
         scene = generate_scene(SceneParams(object_count=(4, 4)), 3)
         scene_path = tmp_path / "scene.json"
-        scene_path.write_text(scene.to_json())
+        scene_path.write_text(json.dumps(scene.to_dict()))
         digest = self.full_frame_digest(tmp_path, capsys, scene_path, mode)
         assert digest == self.FULL_FRAME_DIGESTS[mode]
 

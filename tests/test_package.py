@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib.util
 import os
@@ -6,6 +7,7 @@ import re
 import pytest
 
 import tiger
+from tiger import cli
 
 
 def test_every_exported_name_resolves():
@@ -57,14 +59,22 @@ def blas_sites(source: str):
     return sites
 
 
-def test_no_blas_call():
-    found = []
+def _package_sources() -> dict:
+    """Each module file of the package, by name, mapped to its text."""
+    sources = {}
     for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as f:
-            for scope, line, what in blas_sites(f.read()):
-                found.append(f"{name}:{line} {scope or '<module>'}: {what}")
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as f:
+                sources[name] = f.read()
+    return sources
+
+
+def test_no_blas_call():
+    found = [
+        f"{name}:{line} {scope or '<module>'}: {what}"
+        for name, source in _package_sources().items()
+        for scope, line, what in blas_sites(source)
+    ]
     assert found == []
 
 
@@ -89,6 +99,90 @@ def test_blas_sites_finds_each_form(source, what):
 def test_blas_sites_passes_the_fixed_order_helpers():
     source = "from . import geometry\nx = geometry.matmul(a, b) + geometry.sum_of_products(a, b)\n"
     assert blas_sites(source) == []
+
+
+# ---------------------------------------------------------------------------
+# The package keeps only what is reached.  A function, class or method must
+# be named somewhere in src/tiger/ outside its own body, or be exported, or be
+# a command's cmd_<name>, or be pinned by an acceptance criterion listed here.
+# A test oracle lives in tests/, not in the package.
+# ---------------------------------------------------------------------------
+
+# (name, the test in tests/test_acceptance.py that pins it)
+PINNED_BY_ACCEPTANCE = (
+    ("grpo_objective", "test_grpo_math"),
+    ("regenerate_from_manifest", "test_dataset_self_consistency"),
+)
+
+
+def unreached_names(sources: dict) -> list:
+    """(file, line, name) of each definition no source names outside its own body.
+
+    `sources` maps a file name to its text.  A use is a bare name, an
+    attribute or an imported name anywhere in any of the files; dunders are
+    skipped, since Python calls them.
+    """
+    defs, uses = [], []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((file, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                uses.append((file, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((file, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                uses.append((file, node.name, node.lineno))
+    return [
+        (file, first, name)
+        for file, name, first, last in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(n == name and not (f == file and first <= line <= last) for f, n, line in uses)
+    ]
+
+
+def test_every_package_name_is_reached():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {f"cmd_{name}" for name in sub.choices}
+    pinned = {name for name, _ in PINNED_BY_ACCEPTANCE}
+    unreached = [
+        f"{file}:{line} {name}"
+        for file, line, name in unreached_names(_package_sources())
+        if name not in tiger.__all__
+        and not (file == "cli.py" and name in commands)
+        and name not in pinned
+    ]
+    assert unreached == []
+
+
+def test_each_pinned_name_needs_its_pin():
+    """A pinned name is otherwise unreached, and its acceptance test exists."""
+    unreached = {name for _, _, name in unreached_names(_package_sources())}
+    root = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(root, "test_acceptance.py"), encoding="utf-8") as f:
+        acceptance = f.read()
+    for name, test in PINNED_BY_ACCEPTANCE:
+        assert name in unreached, f"{name} is reached; drop it from PINNED_BY_ACCEPTANCE"
+        assert f"def {test}(" in acceptance
+        assert re.search(rf"\b{name}\(", acceptance), f"{test} no longer calls {name}"
+
+
+@pytest.mark.parametrize(
+    "source, unreached",
+    [
+        ("def f():\n    pass\n", ["f"]),
+        ("def f():\n    return f()\n", ["f"]),  # only its own body names it
+        ("def f():\n    pass\n\ng = f\n", []),
+        ("class A:\n    def m(self):\n        pass\n\nA().m()\n", []),
+        (  # Python calls a dunder itself
+            "class A:\n    def m(self):\n        pass\n\n    def __len__(self):\n        return 0\n",
+            ["A", "m"],
+        ),
+        ("from .x import f\n\ndef f():\n    pass\n", []),
+    ],
+)
+def test_unreached_names_finds_each_form(source, unreached):
+    assert [name for _, _, name in unreached_names({"m.py": source})] == unreached
 
 
 def test_benchmark_tracer_installs_and_restores():

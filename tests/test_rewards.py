@@ -16,8 +16,6 @@ from tiger.rewards import (
     grpo_objective,
     score_answer,
     score_format,
-    score_param,
-    score_tool,
     score_trajectory,
 )
 from tiger.scene import ObjectNode, Scene
@@ -60,40 +58,41 @@ class TestScoreFormat:
 
 
 class TestScoreTool:
-    def test_all_valid(self):
-        assert score_tool(trace(GT_BODY)) == 1.0
+    def test_all_valid(self, scene):
+        gt = trace(GT_BODY)
+        assert score_trajectory(gt, gt, scene).r_tool == 1.0
 
-    def test_half_bad(self):
+    def test_half_bad(self, scene):
         body = (
             "<tool_call>camera_intrinsics(view=0)</tool_call>"
             "<tool_call>warp_drive(view=0)</tool_call>"
         )
-        assert score_tool(trace(body)) == 0.5
+        assert score_trajectory(trace(body), trace(GT_BODY), scene).r_tool == 0.5
 
-    def test_missing_required_argument(self):
+    def test_missing_required_argument(self, scene):
         body = "<tool_call>camera_intrinsics()</tool_call>"
-        assert score_tool(trace(body)) == 0.0
+        assert score_trajectory(trace(body), trace(GT_BODY), scene).r_tool == 0.0
 
-    def test_product_mode(self):
+    def test_product_mode(self, scene):
         cfg = RewardConfig(tool_mode="product")
         body = (
             "<tool_call>camera_intrinsics(view=0)</tool_call>"
             "<tool_call>warp_drive(view=0)</tool_call>"
         )
-        assert score_tool(trace(body), cfg=cfg) == 0.0
+        assert score_trajectory(trace(body), trace(GT_BODY), scene, cfg=cfg).r_tool == 0.0
 
-    def test_zero_call_cases(self):
+    def test_zero_call_cases(self, scene):
         empty = trace("")
-        assert score_tool(empty, gt=empty) == 1.0
-        assert score_tool(empty, gt=trace(GT_BODY)) == 0.0
+        assert score_trajectory(empty, empty, scene).r_tool == 1.0
+        assert score_trajectory(empty, trace(GT_BODY), scene).r_tool == 0.0
 
 
 class TestScoreParam:
-    def test_identical_is_one(self):
+    def test_identical_is_one(self, scene):
         gt = trace(GT_BODY)
-        assert score_param(gt, gt) == 1.0
+        assert score_trajectory(gt, gt, scene).r_param == 1.0
 
-    def test_continuous_half_at_ln2_over_alpha(self):
+    def test_continuous_half_at_ln2_over_alpha(self, scene):
         cfg = RewardConfig(alpha=1.0)
         delta = math.log(2.0)
         gt = trace(
@@ -103,26 +102,27 @@ class TestScoreParam:
             f"<tool_call>point_3d_to_point_2d(view=0, point=({format(delta, '.17g')}, 0, 2))</tool_call>"
         )
         # two params: view matches (1.0), point scores exp(-ln 2) = 0.5
-        assert score_param(pred, gt, cfg) == pytest.approx(0.75, abs=1e-12)
+        r_param = score_trajectory(pred, gt, scene, cfg=cfg).r_param
+        assert r_param == pytest.approx(0.75, abs=1e-12)
 
-    def test_discrete_mismatch(self):
+    def test_discrete_mismatch(self, scene):
         gt = trace("<tool_call>camera_extrinsics(view=1)</tool_call>")
         pred = trace("<tool_call>camera_extrinsics(view=2)</tool_call>")
-        assert score_param(pred, gt) == 0.0
+        assert score_trajectory(pred, gt, scene).r_param == 0.0
 
-    def test_missing_call_contributes_zero(self):
+    def test_missing_call_contributes_zero(self, scene):
         gt = trace(
             "<tool_call>camera_extrinsics(view=1)</tool_call>"
             "<tool_call>camera_extrinsics(view=1)</tool_call>"
         )
         pred = trace("<tool_call>camera_extrinsics(view=1)</tool_call>")
-        assert score_param(pred, gt) == 0.5
+        assert score_trajectory(pred, gt, scene).r_param == 0.5
 
-    def test_no_gt_parameters(self):
+    def test_no_gt_parameters(self, scene):
         gt = trace("")
-        assert score_param(trace(""), gt) == 1.0
+        assert score_trajectory(trace(""), gt, scene).r_param == 1.0
 
-    def test_monotone_in_parameter_error(self):
+    def test_monotone_in_parameter_error(self, scene):
         cfg = RewardConfig()
         gt = trace("<tool_call>point_3d_to_point_2d(view=0, point=(0, 0, 2))</tool_call>")
         previous = 1.0
@@ -130,7 +130,7 @@ class TestScoreParam:
             pred = trace(
                 f"<tool_call>point_3d_to_point_2d(view=0, point=({format(err, '.17g')}, 0, 2))</tool_call>"
             )
-            score = score_param(pred, gt, cfg)
+            score = score_trajectory(pred, gt, scene, cfg=cfg).r_param
             assert score <= previous + 1e-15
             previous = score
         assert previous < 1.0

@@ -43,8 +43,8 @@ class TestSceneType:
             ],
             views=[Pose.identity(), look_at([2.0, 0.4, 1.2], [0.0, 0.0, 1.5])],
         )
-        again = Scene.from_dict(json.loads(scene.to_json()))
-        assert again.to_json() == scene.to_json()
+        again = Scene.from_dict(json.loads(json.dumps(scene.to_dict())))
+        assert json.dumps(again.to_dict()) == json.dumps(scene.to_dict())
         assert again.objects == scene.objects
 
     def test_unknown_view(self):
